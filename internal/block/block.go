@@ -49,8 +49,12 @@ type Stepper struct {
 	inCand []uint32 //meshvet:keep generation stamps; Reset's gen++ invalidates them
 	gen    uint32
 	// clean nodes need re-evaluation every round until they resolve
-	// (their clean age drives rule 4).
-	cleanSet map[grid.NodeID]struct{}
+	// (their clean age drives rule 4). clean lists them in the order they
+	// turned clean and inClean[id] marks membership: a slice, not a map,
+	// so Round evaluates them — and LastChanged reports them — in an order
+	// that is a function of the protocol's history alone.
+	clean   []grid.NodeID
+	inClean []bool
 	// pending status commits for the synchronous update.
 	changedIDs []grid.NodeID
 	changedTo  []mesh.Status
@@ -69,7 +73,7 @@ func NewStepper(m *mesh.Mesh) *Stepper {
 		m:        m,
 		inCand:   make([]uint32, m.NumNodes()),
 		gen:      1,
-		cleanSet: make(map[grid.NodeID]struct{}),
+		inClean:  make([]bool, m.NumNodes()),
 		affected: make(map[grid.NodeID]struct{}),
 	}
 }
@@ -82,7 +86,10 @@ func (st *Stepper) Mesh() *mesh.Mesh { return st.m }
 func (st *Stepper) Reset() {
 	st.cand = st.cand[:0]
 	st.gen++ // stale inCand stamps are < gen, so membership self-clears
-	clear(st.cleanSet)
+	for _, id := range st.clean {
+		st.inClean[id] = false
+	}
+	st.clean = st.clean[:0]
 	st.changedIDs = st.changedIDs[:0]
 	st.changedTo = st.changedTo[:0]
 	clear(st.affected)
@@ -96,8 +103,15 @@ func (st *Stepper) Seed(ids ...grid.NodeID) {
 		st.addCandidate(id)
 		st.m.EachNeighbor(id, func(nb grid.NodeID, _ grid.Dir) { st.addCandidate(nb) })
 		if st.m.Status(id) == mesh.Clean {
-			st.cleanSet[id] = struct{}{}
+			st.addClean(id)
 		}
+	}
+}
+
+func (st *Stepper) addClean(id grid.NodeID) {
+	if !st.inClean[id] {
+		st.inClean[id] = true
+		st.clean = append(st.clean, id)
 	}
 }
 
@@ -110,7 +124,7 @@ func (st *Stepper) addCandidate(id grid.NodeID) {
 
 // Quiescent reports whether the protocol has no pending work: no candidates
 // and no transient clean nodes.
-func (st *Stepper) Quiescent() bool { return len(st.cand) == 0 && len(st.cleanSet) == 0 }
+func (st *Stepper) Quiescent() bool { return len(st.cand) == 0 && len(st.clean) == 0 }
 
 // ResetAffected clears the affected-node accounting (typically at each new
 // fault occurrence so Affected counts per-event locality).
@@ -128,8 +142,7 @@ func (st *Stepper) Round() int {
 	m := st.m
 	// Evaluate: candidates plus all clean nodes (whose age must advance).
 	eval := append(st.eval[:0], st.cand...)
-	//meshvet:ordered synchronous round: evaluations read only pre-round statuses and commits are per-node, so order cannot reach results
-	for id := range st.cleanSet {
+	for _, id := range st.clean {
 		if st.inCand[id] != st.gen {
 			eval = append(eval, id)
 		}
@@ -157,9 +170,9 @@ func (st *Stepper) Round() int {
 		m.SetStatus(id, to)
 		st.affected[id] = struct{}{}
 		if to == mesh.Clean {
-			st.cleanSet[id] = struct{}{}
+			st.addClean(id)
 		} else {
-			delete(st.cleanSet, id)
+			st.inClean[id] = false
 		}
 		// The change is visible to neighbors next round; both the node and
 		// its neighbors are candidates again.
@@ -172,6 +185,14 @@ func (st *Stepper) Round() int {
 		}
 	}
 	st.agedCleans = agedCleans
+	// Drop the nodes that left the clean set, keeping the others in order.
+	kept := st.clean[:0]
+	for _, id := range st.clean {
+		if st.inClean[id] {
+			kept = append(kept, id)
+		}
+	}
+	st.clean = kept
 	return len(st.changedIDs)
 }
 

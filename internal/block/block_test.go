@@ -1,6 +1,7 @@
 package block
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -388,6 +389,53 @@ func TestExtractOrderingDeterministic(t *testing.T) {
 		a, b := bs[i-1].Box.Lo, bs[i].Box.Lo
 		if a[0] > b[0] || (a[0] == b[0] && a[1] > b[1]) {
 			t.Fatalf("blocks unsorted: %v before %v", a, b)
+		}
+	}
+}
+
+// TestRoundOrderDeterministic: a round that resolves several clean nodes
+// at once must report them through LastChanged in the same order every
+// time, because that order seeds the frame detector downstream. Eight
+// isolated faults recover together, so one round turns all eight clean
+// nodes enabled; the run is repeated on fresh meshes and every round's
+// LastChanged must match the first run's.
+func TestRoundOrderDeterministic(t *testing.T) {
+	run := func() [][]grid.NodeID {
+		m := mk2D(t, 16)
+		var ids []grid.NodeID
+		for i := 0; i < 8; i++ {
+			ids = append(ids, failAll(m, grid.Coord{2 + 4*(i%4), 3 + 8*(i/4)})...)
+		}
+		Stabilize(m, ids...)
+		for _, id := range ids {
+			m.Recover(id)
+		}
+		st := NewStepper(m)
+		st.Seed(ids...)
+		var rounds [][]grid.NodeID
+		for !st.Quiescent() {
+			st.Round()
+			rounds = append(rounds, append([]grid.NodeID(nil), st.LastChanged()...))
+		}
+		return rounds
+	}
+	want := run()
+	most := 0
+	for _, r := range want {
+		most = max(most, len(r))
+	}
+	if most < 8 {
+		t.Fatalf("no round resolved all eight clean nodes (largest %d): the case tests nothing", most)
+	}
+	for rep := 0; rep < 30; rep++ {
+		got := run()
+		if len(got) != len(want) {
+			t.Fatalf("repeat %d: %d rounds, want %d", rep, len(got), len(want))
+		}
+		for i := range got {
+			if !slices.Equal(got[i], want[i]) {
+				t.Fatalf("repeat %d round %d: LastChanged %v, want %v", rep, i, got[i], want[i])
+			}
 		}
 	}
 }

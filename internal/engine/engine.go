@@ -64,11 +64,6 @@ type Flight struct {
 	// stepStable caches route.StepStable(Router) at injection: whether this
 	// flight's decisions may be proposed in parallel by the sharded step.
 	stepStable bool
-	// pd is the decision proposed for this flight by the sharded step's
-	// parallel phase; pdOK marks it valid. The serial commit consumes and
-	// clears it every step.
-	pd   route.Decision
-	pdOK bool
 }
 
 // EventRecord captures one fault occurrence (or recovery) and the
@@ -513,7 +508,6 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	}
 	f.StallAge = 0
 	f.stepStable = route.StepStable(r)
-	f.pdOK = false
 	e.flights = append(e.flights, f)
 	return f, nil
 }
@@ -543,10 +537,12 @@ func (e *Engine) Step() {
 	// per step for every active flight. Under contention, each step opens
 	// with a fresh link-service budget and flights are polled in injection
 	// order, so links are granted oldest-first; a flight that loses
-	// arbitration waits in place and re-decides next step. With sharding
-	// enabled, the decisions of step-stable flights are proposed in
-	// parallel first; the loop below is the serial commit that consumes
-	// them — same FIFO, byte-identical result (see shard.go).
+	// arbitration waits in place and decides again next step (reusing
+	// its memoized decision when nothing it reads changed). With
+	// sharding enabled, the decisions of step-stable flights are
+	// proposed in parallel first, into the same per-message memo; the
+	// loop below is the serial commit that consumes them — same FIFO,
+	// byte-identical result (see shard.go).
 	if e.ctn.enabled {
 		c := &e.ctn
 		for _, li := range c.dirty {
@@ -578,10 +574,9 @@ func (e *Engine) Step() {
 			if c.cfg.FlightTimeout > 0 && f.StallAge >= c.cfg.FlightTimeout {
 				// Stalled in place past the timeout: kill the flight back to
 				// its source. The terminal transition counts as progress (the
-				// population shrank), residency is released by the next
-				// DetachDone harvest, and any sharded proposal is discarded.
+				// population shrank) and residency is released by the next
+				// DetachDone harvest.
 				f.Msg.TimedOut = true
-				f.pdOK = false
 				progressed++
 				if e.probe != nil {
 					e.census.TimedOut++
@@ -589,12 +584,7 @@ func (e *Engine) Step() {
 				continue
 			}
 			before := f.Msg.Cur
-			if f.pdOK {
-				f.pdOK = false
-				route.AdvanceDecided(&f.Ctx, f.Msg, f.pd, c.gateFn)
-			} else {
-				route.AdvanceGated(&f.Ctx, f.Router, f.Msg, c.gateFn)
-			}
+			route.AdvanceGated(&f.Ctx, f.Router, f.Msg, c.gateFn)
 			switch cur := f.Msg.Cur; {
 			case cur != before:
 				if f.resident {

@@ -4,29 +4,34 @@
 // (shards); each step's routing phase runs in two phases:
 //
 //  1. Propose (parallel): every shard walks the flight list, picks the
-//     flights resident in its node range, and precomputes their routing
-//     decisions against the frozen step-start state — the mesh, the record
-//     store and the previous step's LinkPending view do not change during
-//     the routing phase, so for a route.StepStable router the proposed
-//     decision is exactly what a serial Decide at commit time would return.
+//     flights resident in its node range, and decides them through
+//     route.DecideMemo against the frozen step-start state — the mesh, the
+//     record store and the previous step's LinkPending view do not change
+//     during the routing phase, so for a route.StepStable router the
+//     decision memoized on the message is exactly what a serial Decide at
+//     commit time would return.
 //  2. Commit (serial, flight-age order): the same FIFO loop the serial
 //     gate implements — link-service budgets, node-capacity checks and
-//     residency updates are applied in injection order, consuming the
-//     proposals. Flights whose router is not step-stable (Congested reads
-//     mid-step residency, Oracle caches internal state) skip the propose
-//     phase and are decided here serially.
+//     residency updates are applied in injection order. Its DecideMemo
+//     call finds the proposal in the memo (nothing it is keyed on changed
+//     since the propose phase). Flights whose router is not step-stable
+//     (Congested reads mid-step residency, Oracle caches internal state)
+//     skip the propose phase and are decided here serially.
 //
-// Because proposals equal serial decisions and the commit is the serial
-// loop verbatim, the sharded step is byte-identical to the serial engine
-// at every shard count — the internal/par determinism contract extended
-// inside a step (pinned by TestShardedStepMatchesSerial and the E19/E20
-// shard matrices). The barrier between the phases is the only
+// Because proposals are memoized serial decisions and the commit is the
+// serial loop verbatim, the sharded step is byte-identical to the serial
+// engine at every shard count — the internal/par determinism contract
+// extended inside a step (pinned by TestShardedStepMatchesSerial and the
+// E19/E20 shard matrices). The barrier between the phases is the only
 // synchronization; a steady-state step performs no allocation (persistent
 // workers, pre-sized channels — TestShardedStepAllocFree).
 
 package engine
 
-import "ndmesh/internal/grid"
+import (
+	"ndmesh/internal/grid"
+	"ndmesh/internal/route"
+)
 
 // shardSet is the engine's intra-step sharding state: the node ranges and
 // the persistent worker goroutines that propose for shards 1..n-1 (shard 0
@@ -104,10 +109,10 @@ func (e *Engine) stopShardWorkers() {
 
 // propose runs the parallel phase of a sharded step: workers propose for
 // shards 1..n-1 while the caller proposes shard 0, then the barrier —
-// after which every active step-stable flight carries its decision and
-// the serial commit may consume them. The channel handshakes establish
-// the happens-before edges that make the flight list and the proposal
-// fields race-free.
+// after which every active step-stable flight carries its decision in its
+// message's memo and the serial commit may consume them. The channel
+// handshakes establish the happens-before edges that make the flight list
+// and the memo fields race-free.
 //
 //meshvet:noalloc
 func (e *Engine) propose() {
@@ -123,9 +128,9 @@ func (e *Engine) propose() {
 
 // proposeShard precomputes decisions for the active step-stable flights
 // resident in shard i's node range. Flights of non-step-stable routers
-// (and the defensive already-at-destination case, which the serial loop
-// terminates before deciding) are left without a proposal, so the commit
-// falls back to deciding them serially — identical either way.
+// (and the already-at-destination case, which the serial loop terminates
+// before deciding) are left without a proposal, so the commit decides them
+// serially — identical either way.
 //
 //meshvet:noalloc
 func (e *Engine) proposeShard(i int) {
@@ -138,8 +143,7 @@ func (e *Engine) proposeShard(i int) {
 		if !f.stepStable || msg.Cur == msg.Dst {
 			continue
 		}
-		f.pd = f.Router.Decide(&f.Ctx, msg)
-		f.pdOK = true
+		route.DecideMemo(&f.Ctx, f.Router, msg)
 	}
 }
 

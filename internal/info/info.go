@@ -25,14 +25,22 @@ type Record struct {
 // Store holds the records of every node. The zero value is not usable; use
 // NewStore.
 type Store struct {
-	recs  [][]Record
-	total int
+	recs    [][]Record
+	total   int
+	version uint64
 }
 
 // NewStore builds an empty store for a mesh with n nodes.
 func NewStore(n int) *Store {
 	return &Store{recs: make([][]Record, n)}
 }
+
+// Version increments on every change to the records a router reads: an
+// Add or Remove that returns true, and every Clear. Like mesh.Version it
+// never rewinds, so a routing decision memoized against one version cannot
+// survive any change to the store. An Add that only refreshes an epoch
+// leaves it unchanged (routers read boxes, not epochs).
+func (s *Store) Version() uint64 { return s.version }
 
 // At returns the records held by node id. The returned slice is owned by
 // the store; callers must not mutate it.
@@ -96,6 +104,7 @@ func (s *Store) Add(id grid.NodeID, rec Record) bool {
 	}
 	s.recs[id] = rs
 	s.total++
+	s.version++
 	return true
 }
 
@@ -111,6 +120,7 @@ func (s *Store) Remove(id grid.NodeID, box grid.Box, minEpoch uint32) bool {
 			rs[i], rs[len(rs)-1] = rs[len(rs)-1], rs[i]
 			s.recs[id] = rs[:len(rs)-1]
 			s.total--
+			s.version++
 			return true
 		}
 	}
@@ -141,6 +151,7 @@ func (s *Store) Clear() {
 		}
 	}
 	s.total = 0
+	s.version++
 }
 
 // contained reports whether inner lies entirely within outer.

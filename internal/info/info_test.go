@@ -116,3 +116,32 @@ func TestTotalAcrossNodes(t *testing.T) {
 		t.Fatalf("totals wrong: %d records, %d nodes", s.TotalRecords(), s.NodesWithInfo())
 	}
 }
+
+// TestVersionTracksRecordChanges: Version moves exactly when the boxes a
+// router reads change — a new record, a removal, a Clear — and stays put
+// on an epoch refresh or a refused Remove, so memoized routing decisions
+// are invalidated by every real change and only by those.
+func TestVersionTracksRecordChanges(t *testing.T) {
+	s := NewStore(10)
+	b := mkBox(grid.Coord{2, 2}, grid.Coord{3, 3})
+	steps := []struct {
+		name string
+		op   func()
+		bump bool
+	}{
+		{"add", func() { s.Add(1, Record{Box: b, Epoch: 1}) }, true},
+		{"epoch refresh", func() { s.Add(1, Record{Box: b, Epoch: 5}) }, false},
+		{"guarded remove", func() { s.Remove(1, b, 5) }, false},
+		{"remove", func() { s.Remove(1, b, 6) }, true},
+		{"remove absent", func() { s.Remove(1, b, 6) }, false},
+		{"clear", func() { s.Clear() }, true},
+		{"clear empty", func() { s.Clear() }, true},
+	}
+	for _, st := range steps {
+		before := s.Version()
+		st.op()
+		if bumped := s.Version() != before; bumped != st.bump {
+			t.Errorf("%s: version bumped=%v, want %v", st.name, bumped, st.bump)
+		}
+	}
+}

@@ -23,8 +23,9 @@ import (
 // annotation without a runtime assertion (or the reverse) fails the
 // build, not a review.
 var AllocTestCoverage = map[string][]string{
-	// The serial contention step: arbitration, gating, the Limited decide
-	// path, commit/traversal, harvest, and the census fold-in. Advance is
+	// The serial contention step: arbitration, gating, the memoized
+	// Limited decide path, commit/traversal, harvest, and the census
+	// fold-in. Advance is
 	// a pure delegate to AdvanceGated and is covered through it.
 	"TestContentionStepAllocFree": {
 		"ndmesh/internal/engine.Engine.Step",
@@ -34,6 +35,7 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/engine.StepCensus.observeTerminal",
 		"ndmesh/internal/route.Advance",
 		"ndmesh/internal/route.AdvanceGated",
+		"ndmesh/internal/route.DecideMemo",
 		"ndmesh/internal/route.commitDecision",
 		"ndmesh/internal/route.Message.applyMove",
 		"ndmesh/internal/route.Message.applyBacktrack",
@@ -44,12 +46,11 @@ var AllocTestCoverage = map[string][]string{
 	"TestCongestedStepAllocFree": {
 		"ndmesh/internal/route.Congested.Decide",
 	},
-	// The sharded step's parallel propose phase, the pre-decided commit,
-	// and the Blind decide path (its router fleet mixes Limited and Blind).
+	// The sharded step's parallel propose phase and the Blind decide path
+	// (its router fleet mixes Limited and Blind).
 	"TestShardedStepAllocFree": {
 		"ndmesh/internal/engine.Engine.propose",
 		"ndmesh/internal/engine.Engine.proposeShard",
-		"ndmesh/internal/route.AdvanceDecided",
 		"ndmesh/internal/route.Blind.Decide",
 	},
 	// Flight timeouts ride on DOR head-on collisions.

@@ -24,17 +24,20 @@
 // Decide/Apply split lets the engine interleave decisions with the λ
 // information rounds exactly as Figure 7 prescribes.
 //
-// Contracts: Decide never mutates the message — Advance/AdvanceGated/
-// AdvanceDecided commit a Decision to the header, so a stalled message
-// re-decides against fresh state. Routers are stateless per decision; all
-// scratch lives in the caller-owned Context (coordinate buffers, direction
-// lists, and a node-id-keyed decode cache), valid only during the current
-// Decide call, which keeps the steady-state decision 0 allocs/op. The one
-// exception is Oracle's cached distance field, the reason StepStable
-// excludes it: StepStable(r) certifies that a router's decisions depend
-// only on state frozen for the whole routing phase of a step, the property
-// the engine's sharded stepper needs to precompute decisions in parallel
-// with byte-identical results.
+// Contracts: Decide never mutates the message — Advance/AdvanceGated
+// commit a Decision to the header. A stalled message re-decides only when
+// its inputs changed: its header, the mesh version or the record store
+// version. Otherwise DecideMemo hands back the decision it memoized on the
+// message, which is identical to a fresh one by construction. Routers are
+// stateless per decision; all scratch lives in the caller-owned Context
+// (coordinate buffers, direction lists, and a node-id-keyed decode cache),
+// valid only during the current Decide call, which keeps the steady-state
+// decision 0 allocs/op. The one exception is Oracle's cached distance
+// field, the reason StepStable excludes it: StepStable(r) certifies that a
+// router's decisions depend only on the header and on state frozen for the
+// whole routing phase of a step — the property that lets DecideMemo reuse
+// them and the engine's sharded stepper precompute them in parallel with
+// byte-identical results.
 package route
 
 import (
@@ -83,13 +86,15 @@ type Context struct {
 	Load   LoadView
 	Policy Policy
 
-	// ucBuf/dcBuf/wcBuf are reusable coordinate buffers and prefBuf/
-	// spareBuf/demBuf reusable direction lists for the per-step routing
-	// decision (lazily sized on first use), so a steady-state decision
-	// performs no allocation. They are scratch for the current Decide call
-	// only.
-	ucBuf, dcBuf, wcBuf       grid.Coord
-	prefBuf, spareBuf, demBuf []grid.Dir
+	// ucBuf/dcBuf/wcBuf are reusable coordinate buffers for the per-step
+	// routing decision (lazily sized on first use), so a steady-state
+	// decision performs no allocation. cl is the candidate partition,
+	// filled in place by classifyLimited (Blind reuses its preferred and
+	// spares lists): a decision copies no slice headers and the direction
+	// lists keep their capacity. Both are scratch for the current Decide
+	// call only.
+	ucBuf, dcBuf, wcBuf grid.Coord
+	cl                  classified
 
 	// coordShape/ucID/dcID memoize the decodes held in ucBuf/dcBuf: a
 	// linear-to-coordinate decode is a divmod per dimension, and profiles
@@ -159,7 +164,11 @@ type Message struct {
 	Incoming grid.Dir
 
 	path []grid.NodeID
-	used map[grid.NodeID]grid.DirSet
+	// visits is the header's used-direction list: one entry per node the
+	// message has forwarded from, in first-forward order. A flight touches
+	// tens of nodes, so a contiguous list searched from its newest entry
+	// beats hashing.
+	visits []visit
 
 	// Hops counts every link traversal (forward and backward); Backtracks
 	// counts the backward ones. Steps counts decision steps including
@@ -181,30 +190,45 @@ type Message struct {
 	// its source after stalling in place past the configured timeout — the
 	// deadlock-escape path; routers never set it themselves.
 	Arrived, Unreachable, Lost, TimedOut bool
+
+	// memo is the last decision DecideMemo made for a step-stable router,
+	// memoKey the inputs it was made from, and memoOK marks it valid.
+	memo    Decision
+	memoKey memoKey
+	memoOK  bool
+}
+
+// visit is one entry of the used-direction list: the directions already
+// taken out of node id.
+type visit struct {
+	id   grid.NodeID
+	dirs grid.DirSet
+}
+
+// memoKey identifies the inputs of a step-stable decision that can change
+// during a flight: the header generation and the mesh and store versions.
+type memoKey struct {
+	hops        int
+	mesh, store uint64
 }
 
 // NewMessage builds a path-setup message from src to dst.
 func NewMessage(src, dst grid.NodeID) *Message {
-	return &Message{
-		Src:      src,
-		Dst:      dst,
-		Cur:      src,
-		Incoming: grid.InvalidDir,
-		used:     make(map[grid.NodeID]grid.DirSet),
-	}
+	return &Message{Src: src, Dst: dst, Cur: src, Incoming: grid.InvalidDir}
 }
 
 // Reset rewinds the message to a fresh injection from src to dst, keeping
-// the path stack's capacity and the used-direction map's buckets so a
-// recycled message allocates nothing on its next flight.
+// the capacity of the path stack and the used-direction list so a recycled
+// message allocates nothing on its next flight.
 func (msg *Message) Reset(src, dst grid.NodeID) {
 	msg.Src, msg.Dst, msg.Cur = src, dst, src
 	msg.Incoming = grid.InvalidDir
 	msg.path = msg.path[:0]
-	clear(msg.used)
+	msg.visits = msg.visits[:0]
 	msg.Hops, msg.Backtracks, msg.Steps, msg.Waits = 0, 0, 0, 0
 	msg.stalled = false
 	msg.Arrived, msg.Unreachable, msg.Lost, msg.TimedOut = false, false, false, false
+	msg.memo, msg.memoKey, msg.memoOK = Decision{}, memoKey{}, false
 }
 
 // Stalled reports whether the message's most recent step was a contention
@@ -217,7 +241,24 @@ func (msg *Message) Done() bool {
 }
 
 // Used returns the used-direction set recorded at node id.
-func (msg *Message) Used(id grid.NodeID) grid.DirSet { return msg.used[id] }
+func (msg *Message) Used(id grid.NodeID) grid.DirSet {
+	if i := msg.visitAt(id); i >= 0 {
+		return msg.visits[i].dirs
+	}
+	return 0
+}
+
+// visitAt returns the index of id's entry in the used-direction list, or -1.
+// The search runs from the newest entry: after a backtrack the node is one
+// of the last forwarded from.
+func (msg *Message) visitAt(id grid.NodeID) int {
+	for i := len(msg.visits) - 1; i >= 0; i-- {
+		if msg.visits[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
 
 // PathLen returns the current path-stack length (hops from source along the
 // currently held path).
@@ -260,9 +301,9 @@ func Advance(ctx *Context, r Router, msg *Message) bool {
 // normally, but the chosen traversal (forward or backward) only executes
 // if the gate grants the link; otherwise the message waits in place. The
 // decision itself is not committed to the header on a stall, so a waiting
-// message re-decides next step against fresh status and information — a
-// stalled preferred direction can be abandoned for a spare if the fault
-// picture changes while queued.
+// message re-decides next step if the fault picture changed while it
+// queued — a stalled preferred direction can be abandoned for a spare —
+// and otherwise reuses its memoized decision (DecideMemo).
 //
 //meshvet:noalloc
 func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
@@ -274,28 +315,34 @@ func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
 		msg.Arrived = true
 		return false
 	}
-	return commitDecision(ctx, msg, r.Decide(ctx, msg), gate)
+	return commitDecision(ctx, msg, DecideMemo(ctx, r, msg), gate)
 }
 
-// AdvanceDecided is AdvanceGated with the routing decision already made:
-// the sharded stepper's parallel phase precomputes step-stable routers'
-// decisions against the frozen step-start state, and the serial commit
-// replays them here in flight-age order. The gate check, the header
-// commit and the terminal transitions are exactly AdvanceGated's, so for
-// a StepStable router AdvanceDecided(ctx, msg, r.Decide(ctx, msg), gate)
-// and AdvanceGated(ctx, r, msg, gate) are byte-identical.
+// DecideMemo returns r's decision for msg. A StepStable router's decision
+// is a pure function of the header, the fabric statuses and the record
+// store, so it is memoized on the message and handed back while msg.Hops
+// (every move and backtrack bumps it), ctx.M.Version() and the store's
+// Version() are unchanged: a flight that lost link arbitration gets the
+// decision a fresh Decide would return without recomputing it. Other
+// routers are asked afresh on every call. The engine's sharded propose
+// phase and AdvanceGated both decide through here, so there is one decide
+// path. Between Resets a message must be decided with one router and one
+// context, as every engine flight is: the key holds only what changes
+// during a flight.
 //
 //meshvet:noalloc
-func AdvanceDecided(ctx *Context, msg *Message, d Decision, gate Gate) bool {
-	if msg.Done() {
-		return false
+func DecideMemo(ctx *Context, r Router, msg *Message) Decision {
+	if !StepStable(r) {
+		return r.Decide(ctx, msg)
 	}
-	msg.Steps++
-	if msg.Cur == msg.Dst {
-		msg.Arrived = true
-		return false
+	key := memoKey{hops: msg.Hops, mesh: ctx.M.Version()}
+	if ctx.Store != nil {
+		key.store = ctx.Store.Version()
 	}
-	return commitDecision(ctx, msg, d, gate)
+	if !msg.memoOK || msg.memoKey != key {
+		msg.memo, msg.memoKey, msg.memoOK = r.Decide(ctx, msg), key, true
+	}
+	return msg.memo
 }
 
 // commitDecision executes one decision under link arbitration. Every
@@ -346,18 +393,21 @@ func commitDecision(ctx *Context, msg *Message, d Decision, gate Gate) bool {
 	return !msg.Done()
 }
 
-// StepStable reports whether r's Decide is a pure function of state frozen
-// for the whole routing phase of a step: the fabric statuses (fault events
-// apply before routing), the record store (information rounds run before
-// routing), the previous step's LinkPending view, and the message's own
-// header. The sharded stepper may precompute such routers' decisions in
-// parallel from the step-start state and commit them serially in flight-age
-// order with results byte-identical to deciding at commit time.
+// StepStable reports whether r's Decide is a pure function of the
+// message's own header and of state frozen for the whole routing phase of
+// a step: the fabric statuses (fault events apply before routing) and the
+// record store (information rounds run before routing). Both are
+// versioned, so DecideMemo may reuse such a router's decision across steps
+// until the header or a version changes, and the sharded stepper may
+// precompute its decisions in parallel from the step-start state and
+// commit them serially in flight-age order with results byte-identical to
+// deciding at commit time.
 //
-// Excluded by construction: Congested reads LoadView.Resident, which
-// earlier commits in the same step mutate, and Oracle caches a distance
-// field inside the (shared) router value. Both are decided serially at
-// commit instead — correct at any shard count, just not sped up.
+// Excluded by construction: Congested reads the load view (Resident,
+// which earlier commits in the same step mutate, and LinkPending, which
+// changes every step), and Oracle caches a distance field inside the
+// (shared) router value. Both are decided afresh, serially at commit —
+// correct at any shard count, just not sped up.
 func StepStable(r Router) bool {
 	switch r.(type) {
 	case Limited, Blind, DOR:
@@ -375,7 +425,11 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 		msg.Lost = true
 		return
 	}
-	msg.used[msg.Cur] = msg.used[msg.Cur].Add(dir)
+	if i := msg.visitAt(msg.Cur); i >= 0 {
+		msg.visits[i].dirs = msg.visits[i].dirs.Add(dir)
+	} else {
+		msg.visits = append(msg.visits, visit{id: msg.Cur, dirs: grid.DirSet(0).Add(dir)})
+	}
 	msg.path = append(msg.path, msg.Cur)
 	msg.Cur = next
 	msg.Incoming = dir
@@ -433,10 +487,10 @@ func (Limited) Name() string { return "limited" }
 //
 //meshvet:noalloc
 func (Limited) Decide(ctx *Context, msg *Message) Decision {
-	cl, bad := classifyLimited(ctx, msg)
-	if bad {
+	if classifyLimited(ctx, msg) {
 		return backtrackOrFail(msg)
 	}
+	cl := &ctx.cl
 	if len(cl.preferred) > 0 {
 		return Decision{Move: true, Dir: pickPreferred(ctx, cl.preferred, cl.uc, cl.dc)}
 	}
@@ -451,8 +505,9 @@ func (Limited) Decide(ctx *Context, msg *Message) Decision {
 
 // classified is the candidate partition of Algorithm 3's step 2: the
 // fault-safe unused outgoing directions split by priority class, plus the
-// coordinate scratch and records the pick functions need. The slices alias
-// the context's reusable buffers and are valid until the next classify call.
+// coordinate scratch and records the pick functions need. It lives in the
+// context (Context.cl), whose direction lists keep their capacity across
+// decisions; its contents are valid until the next classify call.
 type classified struct {
 	preferred, demoted, spares []grid.Dir
 	uc, dc                     grid.Coord
@@ -461,22 +516,24 @@ type classified struct {
 
 // classifyLimited runs the candidate classification shared by Limited and
 // Congested: both routers consider exactly the same fault-safe direction
-// classes; they differ only in how ties inside a class are broken. bad
-// reports that the current node itself is disabled/faulty (backtrack case).
+// classes; they differ only in how ties inside a class are broken. It fills
+// ctx.cl in place and reports bad when the current node itself is
+// disabled/faulty (the backtrack case), leaving ctx.cl stale.
 //
 //meshvet:noalloc
-func classifyLimited(ctx *Context, msg *Message) (cl classified, bad bool) {
+func classifyLimited(ctx *Context, msg *Message) (bad bool) {
 	m := ctx.M
 	u := msg.Cur
 	if m.Status(u).Bad() {
-		return classified{}, true
+		return true
 	}
 	shape := m.Shape()
+	cl := &ctx.cl
 	uc, dc := ctx.coords(u, msg.Dst)
-	used := msg.used[u]
+	used := msg.Used(u)
 	recs := recordsAt(ctx, u)
 
-	preferred, demoted, spares := ctx.prefBuf[:0], ctx.demBuf[:0], ctx.spareBuf[:0]
+	preferred, demoted, spares := cl.preferred[:0], cl.demoted[:0], cl.spares[:0]
 	for dv := 0; dv < shape.NumDirs(); dv++ {
 		dir := grid.Dir(dv)
 		if used.Has(dir) {
@@ -511,11 +568,9 @@ func classifyLimited(ctx *Context, msg *Message) (cl classified, bad bool) {
 		}
 		spares = append(spares, dir)
 	}
-	// Return the (possibly regrown) buffers to the context for reuse.
-	ctx.prefBuf, ctx.demBuf, ctx.spareBuf = preferred, demoted, spares
-
-	return classified{preferred: preferred, demoted: demoted, spares: spares,
-		uc: uc, dc: dc, recs: recs}, false
+	cl.preferred, cl.demoted, cl.spares = preferred, demoted, spares
+	cl.uc, cl.dc, cl.recs = uc, dc, recs
+	return false
 }
 
 func backtrackOrFail(msg *Message) Decision {
@@ -646,8 +701,8 @@ func (Blind) Decide(ctx *Context, msg *Message) Decision {
 	}
 	shape := m.Shape()
 	uc, dc := ctx.coords(u, msg.Dst)
-	used := msg.used[u]
-	preferred, spares := ctx.prefBuf[:0], ctx.spareBuf[:0]
+	used := msg.Used(u)
+	preferred, spares := ctx.cl.preferred[:0], ctx.cl.spares[:0]
 	for dv := 0; dv < shape.NumDirs(); dv++ {
 		dir := grid.Dir(dv)
 		if used.Has(dir) {
@@ -666,7 +721,7 @@ func (Blind) Decide(ctx *Context, msg *Message) Decision {
 		}
 		spares = append(spares, dir)
 	}
-	ctx.prefBuf, ctx.spareBuf = preferred, spares
+	ctx.cl.preferred, ctx.cl.spares = preferred, spares
 	if len(preferred) > 0 {
 		return Decision{Move: true, Dir: pickPreferred(ctx, preferred, uc, dc)}
 	}

@@ -85,6 +85,15 @@ var AllocTestCoverage = map[string][]string{
 	"TestGeneratorStepAllocFree": {
 		"ndmesh/internal/traffic.Generator.Step",
 	},
+	// Deposit, merge and cancel boundary floods on a warm protocol.
+	"TestBoundaryRoundAllocFree": {
+		"ndmesh/internal/boundary.Protocol.Start",
+		"ndmesh/internal/boundary.Protocol.reuse",
+		"ndmesh/internal/boundary.Protocol.addRegion",
+		"ndmesh/internal/boundary.Protocol.markPlacement",
+		"ndmesh/internal/boundary.Protocol.Round",
+		"ndmesh/internal/boundary.Protocol.roundOne",
+	},
 	// The latency histogram's hot Add.
 	"TestLogHistAddAllocFree": {
 		"ndmesh/internal/stats.LogHistogram.Add",

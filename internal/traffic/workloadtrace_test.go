@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 // recordOffers runs an open-loop generator under a recorder for steps
 // steps, returning the trace and the offers the run actually saw.
-func recordOffers(t *testing.T, shape *grid.Shape, steps int) (*Trace, [][2]grid.NodeID) {
+func recordOffers(t testing.TB, shape *grid.Shape, steps int) (*Trace, [][2]grid.NodeID) {
 	t.Helper()
 	pat, err := ByName(shape, "uniform")
 	if err != nil {
@@ -231,4 +232,49 @@ func TestTraceValidate(t *testing.T) {
 	if err := tr3.Validate(shape); err == nil {
 		t.Error("out-of-mesh fault node accepted")
 	}
+}
+
+// FuzzTraceDecode hammers the NDWT decoder with arbitrary bytes: decoding
+// and validating must never panic, and any trace the decoder accepts must
+// survive Marshal → UnmarshalTrace unchanged. The checked-in corpus
+// (testdata/fuzz/FuzzTraceDecode) holds a trace recorded by
+// `loadgen -trace-record` on a faulty 4x4 mesh; every plain test run
+// replays it and the seeds below, and CI fuzzes on top for a few seconds.
+func FuzzTraceDecode(f *testing.F) {
+	tr, _ := recordOffers(f, grid.MustShape(4, 4), 12)
+	f.Add(tr.Marshal())
+	tr.Window, tr.ClosedLoop = 4, true
+	tr.FlightTimeout, tr.GridlockWindow, tr.Bubble = 16, 8, true
+	rec := tr.Marshal()
+	if _, err := UnmarshalTrace(rec); err != nil {
+		f.Fatalf("recorded seed does not decode: %v", err)
+	}
+	f.Add(rec)
+	f.Add(rec[:len(rec)/2])
+	v1 := append([]byte(nil), rec...)
+	v1[len(traceMagic)] = 1
+	f.Add(v1)
+	f.Add([]byte(traceMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := UnmarshalTrace(data)
+		if err != nil {
+			return
+		}
+		if shape, err := grid.NewShape(tr.Dims...); err == nil {
+			_ = tr.Validate(shape) // must not panic; rejection is fine
+		}
+		again, err := UnmarshalTrace(tr.Marshal())
+		if err != nil {
+			t.Fatalf("re-encoded trace does not decode: %v", err)
+		}
+		// Rate may be any bit pattern, NaN included, so compare it by bits.
+		if math.Float64bits(again.Rate) != math.Float64bits(tr.Rate) {
+			t.Fatalf("rate changed across the round trip: %v -> %v", tr.Rate, again.Rate)
+		}
+		again.Rate, tr.Rate = 0, 0
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", again, tr)
+		}
+	})
 }

@@ -86,7 +86,6 @@ func main() {
 		repair       = flag.Float64("repair", 0, "mean repair delay in steps for process faults (0 = faults are permanent)")
 		seed         = flag.Uint64("seed", 1, "random seed")
 		workers      = flag.Int("workers", 0, "parallel cell workers (0 = all CPUs); results are identical for every value")
-		shards       = flag.Int("shards", 1, "intra-step shard workers per cell (big single meshes; results are identical for every value)")
 		traceRecord  = flag.String("trace-record", "", "record the run's offered workload (single cell only) into this file")
 		traceReplay  = flag.String("trace-replay", "", "replay a recorded workload trace from this file (overrides -dims/-rates/-windows/-patterns/-faults and the phase lengths)")
 		csv          = flag.Bool("csv", false, "emit CSV instead of an aligned table")
@@ -218,7 +217,6 @@ func main() {
 				Congestion:    congestion,
 				FlightTimeout: *timeout, RetryBackoff: *retryBackoff,
 				Bubble: *bubble, GridlockWindow: *gridlockWin,
-				Shards:   *shards,
 				Progress: progress,
 			}
 			rows, err := ndmesh.ReplayCompareSweepWorkers(ropt, *seed, *workers)
@@ -237,7 +235,7 @@ func main() {
 
 		opt := ndmesh.LoadOptions{
 			Router:     routers[0],
-			Congestion: congestion, Shards: *shards, Seed: *seed,
+			Congestion: congestion, Seed: *seed,
 			Lambda: lambdaOverride, LinkRate: linkRateOverride, NodeCapacity: capacityOverride,
 			FlightTimeout: *timeout, RetryBackoff: *retryBackoff,
 			Bubble: *bubble, GridlockWindow: *gridlockWin,
@@ -297,7 +295,7 @@ func main() {
 			Faults: *faults, FaultInterval: *interval, Clustered: *clustered,
 			FaultStart: *faultStart, FaultRate: *faultRate, FaultModel: *faultModel,
 			FaultShape: *faultShape, FaultRepair: *repair,
-			Shards: *shards, Seed: *seed,
+			Seed:   *seed,
 			Record: &traffic.Trace{},
 		}
 		var workload string
@@ -361,7 +359,6 @@ func main() {
 			Faults: *faults, FaultInterval: *interval, Clustered: *clustered,
 			FaultStart: *faultStart, FaultRate: *faultRate, FaultModel: *faultModel,
 			FaultShape: *faultShape, FaultRepair: *repair,
-			Shards:   *shards,
 			Progress: progress,
 		}
 		if tel != nil {
@@ -426,7 +423,6 @@ func main() {
 		FaultModel:     *faultModel,
 		FaultShape:     *faultShape,
 		FaultRepair:    *repair,
-		Shards:         *shards,
 		Progress:       progress,
 	}
 	if tel != nil {

@@ -33,7 +33,6 @@ func main() {
 		trials   = flag.Int("trials", 0, "trials per cell (0 = experiment default)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		workers  = flag.Int("workers", 0, "parallel trial workers (0 = all CPUs); results are identical for every value")
-		shards   = flag.Int("shards", 1, "intra-step shard workers per load cell (saturation/congestion); results are identical for every value")
 		preset   = flag.String("congestion", "", "congested-router tuning preset for the load experiments: off | mild | aggressive (empty = library defaults)")
 		progress = flag.Bool("progress", false, "print per-cell completion of the load experiments (saturation/congestion/closedloop/gridlock) to stderr")
 	)
@@ -70,19 +69,19 @@ func main() {
 	run("theorems", func() (*stats.Table, error) { return theoremsTable(*seed, *trials, *workers) })
 	run("traffic", func() (*stats.Table, error) { return trafficTable(*seed, *workers) })
 	run("saturation", func() (*stats.Table, error) {
-		return saturationTable(*seed, *workers, *shards, congestion, loadProgress(*progress, "saturation"))
+		return saturationTable(*seed, *workers, congestion, loadProgress(*progress, "saturation"))
 	})
 	run("congestion", func() (*stats.Table, error) {
-		return congestionTable(*seed, *workers, *shards, congestion, loadProgress(*progress, "congestion"))
+		return congestionTable(*seed, *workers, congestion, loadProgress(*progress, "congestion"))
 	})
 	run("closedloop", func() (*stats.Table, error) {
-		return closedLoopTable(*seed, *workers, *shards, congestion, loadProgress(*progress, "closedLoop"))
+		return closedLoopTable(*seed, *workers, congestion, loadProgress(*progress, "closedLoop"))
 	})
 	run("gridlock", func() (*stats.Table, error) {
-		return gridlockTable(*seed, *workers, *shards, congestion, loadProgress(*progress, "gridlock"))
+		return gridlockTable(*seed, *workers, congestion, loadProgress(*progress, "gridlock"))
 	})
 	run("reliability", func() (*stats.Table, error) {
-		return reliabilityTable(*seed, *trials, *workers, *shards, congestion, loadProgress(*progress, "reliability"))
+		return reliabilityTable(*seed, *trials, *workers, congestion, loadProgress(*progress, "reliability"))
 	})
 
 	if *exp != "all" {
@@ -117,9 +116,8 @@ func trafficTable(seed uint64, workers int) (*stats.Table, error) {
 	return tab, nil
 }
 
-func congestionTable(seed uint64, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func congestionTable(seed uint64, workers int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
 	opt := ndmesh.DefaultCongestionShift()
-	opt.Shards = shards
 	opt.Congestion = congestion
 	opt.Progress = progress
 	rows, summaries, err := ndmesh.CongestionShiftSweepWorkers(opt, seed, workers)
@@ -141,9 +139,8 @@ func congestionTable(seed uint64, workers, shards int, congestion route.Congesti
 	return tab, nil
 }
 
-func closedLoopTable(seed uint64, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func closedLoopTable(seed uint64, workers int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
 	opt := ndmesh.DefaultClosedLoop()
-	opt.Shards = shards
 	opt.Congestion = congestion
 	opt.Progress = progress
 	rows, err := ndmesh.ClosedLoopSweepWorkers(opt, seed, workers)
@@ -159,9 +156,8 @@ func closedLoopTable(seed uint64, workers, shards int, congestion route.Congesti
 	return tab, nil
 }
 
-func gridlockTable(seed uint64, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func gridlockTable(seed uint64, workers int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
 	opt := ndmesh.DefaultGridlock()
-	opt.Shards = shards
 	opt.Congestion = congestion
 	opt.Progress = progress
 	rows, err := ndmesh.GridlockSweepWorkers(opt, seed, workers)
@@ -182,13 +178,12 @@ func gridlockTable(seed uint64, workers, shards int, congestion route.Congestion
 	return tab, nil
 }
 
-func reliabilityTable(seed uint64, trials, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func reliabilityTable(seed uint64, trials, workers int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
 	opt := ndmesh.DefaultReliability()
 	opt.Routers = []string{"limited", "congested"}
 	if trials > 0 {
 		opt.Trials = trials
 	}
-	opt.Shards = shards
 	opt.Congestion = congestion
 	opt.Progress = progress
 	rows, err := ndmesh.ReliabilitySweepWorkers(opt, seed, workers)
@@ -207,12 +202,11 @@ func reliabilityTable(seed uint64, trials, workers, shards int, congestion route
 	return tab, nil
 }
 
-func saturationTable(seed uint64, workers, shards int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
+func saturationTable(seed uint64, workers int, congestion route.CongestionConfig, progress func(done, total int)) (*stats.Table, error) {
 	opt := ndmesh.DefaultSaturation()
 	opt.Routers = []string{"limited", "congested", "blind"}
 	opt.Rates = []float64{0.05, 0.15, 0.3}
 	opt.Warmup, opt.Measure, opt.Drain = 32, 128, 128
-	opt.Shards = shards
 	opt.Congestion = congestion
 	opt.Progress = progress
 	rows, err := ndmesh.SaturationSweepWorkers(opt, seed, workers)

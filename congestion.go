@@ -45,9 +45,6 @@ type CongestionShiftOptions struct {
 	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
 	// results are identical for every value.
 	Workers int
-	// Shards is the intra-step shard-worker count per cell run (< 2 means
-	// serial); like Workers, every value yields byte-identical rows.
-	Shards int
 	// Progress, when non-nil, is called after every completed cell with
 	// (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -132,7 +129,6 @@ func congestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]Congestion
 		Congestion: opt.Congestion,
 		Faults:     opt.Faults, FaultInterval: opt.FaultInterval,
 		Clustered: opt.Clustered,
-		Shards:    opt.Shards,
 	}
 	if err := validateSaturation(&sopt); err != nil {
 		return nil, nil, err

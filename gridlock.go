@@ -29,7 +29,7 @@ package ndmesh
 // Determinism follows the repository contract: one rng stream is split per
 // scenario cell in row order, each mechanism arm starts from a value copy
 // of that stream's state, each job writes only its own result slots, and
-// aggregation is serial — byte-identical for every worker and shard count.
+// aggregation is serial — byte-identical for every worker count.
 
 import (
 	"fmt"
@@ -76,10 +76,9 @@ type GridlockOptions struct {
 	FlightTimeout, RetryBackoff, GridlockWindow int
 	// Congestion tunes the "congested" router when Router selects it.
 	Congestion route.CongestionConfig
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. Shards
-	// is the intra-step shard-worker count per run. Both leave the rows
-	// byte-identical at every value.
-	Workers, Shards int
+	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
+	// rows are byte-identical at every value.
+	Workers int
 	// Progress, when non-nil, is called after every completed scenario
 	// cell (all its mechanism arms) with (done, total); must be safe for
 	// concurrent use.
@@ -216,12 +215,11 @@ func gridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
 		Dims: opt.Dims, Lambda: opt.Lambda,
 		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
 		LinkRate: opt.LinkRate, NodeCapacity: opt.Capacities[0],
-		Shards: opt.Shards,
 	}
 	if err := validateLoadShape(&probe); err != nil {
 		return nil, err
 	}
-	opt.Lambda, opt.LinkRate, opt.Shards = probe.Lambda, probe.LinkRate, probe.Shards
+	opt.Lambda, opt.LinkRate = probe.Lambda, probe.LinkRate
 
 	// One job per scenario cell (pattern-major, then window, capacity,
 	// faults); the mechanism arms run inside the job from value copies of
@@ -250,7 +248,6 @@ func gridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
 				Bubble:         bubble,
 				Faults:         faults, FaultInterval: opt.FaultInterval,
 				Clustered: opt.Clustered,
-				Shards:    opt.Shards,
 			}
 			if timeout {
 				sopt.FlightTimeout = opt.FlightTimeout

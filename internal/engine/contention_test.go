@@ -216,14 +216,16 @@ func TestContentionResetClearsState(t *testing.T) {
 
 // TestContentionStepAllocFree is the steady-state allocation guarantee of
 // the issue: once warm, a contention step (including the harvest sweep and
-// re-injection from the free lists) performs zero allocations.
+// re-injection from the free lists) performs zero allocations. The router
+// fleet mixes Limited and Blind so both decide paths are covered.
 func TestContentionStepAllocFree(t *testing.T) {
 	e, shape := newContentionEngine(t, 16, ContentionConfig{LinkRate: 1, NodeCapacity: 4})
 	srcs := []grid.Coord{{1, 1}, {14, 1}, {1, 14}, {14, 14}, {7, 2}, {2, 7}}
 	dsts := []grid.Coord{{14, 14}, {1, 14}, {14, 1}, {1, 1}, {7, 13}, {13, 7}}
+	routers := []route.Router{route.Limited{}, route.Blind{}, route.Limited{}, route.Blind{}, route.Limited{}, route.Blind{}}
 	inject := func() {
 		for i := range srcs {
-			if _, err := e.Inject(shape.Index(srcs[i]), shape.Index(dsts[i]), route.Limited{}); err != nil {
+			if _, err := e.Inject(shape.Index(srcs[i]), shape.Index(dsts[i]), routers[i]); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -246,5 +248,44 @@ func TestContentionStepAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("contention step allocates %.1f allocs/op, want 0", allocs)
+	}
+}
+
+// TestInjectRejectsOverCapacity pins the latent-state fix on the
+// injection path: under contention with a finite NodeCapacity, an Inject
+// that skips Admit cannot silently overfill a router buffer — it is
+// rejected, and the residency counter stays at capacity.
+func TestInjectRejectsOverCapacity(t *testing.T) {
+	e, shape := newContentionEngine(t, 6, ContentionConfig{LinkRate: 1, NodeCapacity: 2})
+	src := shape.Index(grid.Coord{2, 2})
+	dst := shape.Index(grid.Coord{5, 5})
+	for i := 0; i < 2; i++ {
+		if !e.Admit(src) {
+			t.Fatalf("injection %d: source unexpectedly full", i)
+		}
+		if _, err := e.Inject(src, dst, route.Limited{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if e.Admit(src) {
+		t.Fatal("Admit true at a full source")
+	}
+	if _, err := e.Inject(src, dst, route.Limited{}); err == nil {
+		t.Fatal("Inject at a full source succeeded; want capacity error")
+	}
+	if got := e.Resident(src); got != 2 {
+		t.Fatalf("residency after rejected injection = %d, want 2", got)
+	}
+	// Unbounded capacity (0) and contention-free mode keep accepting.
+	e2, shape2 := newContentionEngine(t, 6, ContentionConfig{LinkRate: 1})
+	s2, d2 := shape2.Index(grid.Coord{1, 1}), shape2.Index(grid.Coord{4, 4})
+	for i := 0; i < 8; i++ {
+		if _, err := e2.Inject(s2, d2, route.Limited{}); err != nil {
+			t.Fatalf("unbounded injection %d rejected: %v", i, err)
+		}
+	}
+	e2.DisableContention()
+	if _, err := e2.Inject(s2, d2, route.Limited{}); err != nil {
+		t.Fatalf("contention-free injection rejected: %v", err)
 	}
 }

@@ -15,9 +15,7 @@
 //
 //   - Determinism: flights are polled in injection order, so the opt-in
 //     contention model's link arbitration is an age-ordered FIFO with no
-//     goroutine-scheduling dependence, and the intra-step sharded stepper
-//     (SetShards, shard.go) is byte-identical to the serial step at every
-//     shard count — sharding changes wall-clock, never output.
+//     goroutine-scheduling dependence.
 //   - Reset: Reset rewinds the engine to step 0 recycling flights and
 //     event records into free lists (results handed out earlier must be
 //     consumed first); ClearFlights retires the flight population only;
@@ -60,10 +58,6 @@ type Flight struct {
 	// resident marks that the flight is counted in the contention model's
 	// per-node residency (cleared when the count is released).
 	resident bool
-
-	// stepStable caches route.StepStable(Router) at injection: whether this
-	// flight's decisions may be proposed in parallel by the sharded step.
-	stepStable bool
 }
 
 // EventRecord captures one fault occurrence (or recovery) and the
@@ -207,11 +201,10 @@ type Engine struct {
 	// would allocate per event).
 	oracle block.Oracle //meshvet:keep reusable compute buffers, overwritten per event
 
-	ctn    contention
-	shards shardSet //meshvet:keep worker-pool configuration, reconfigured via SetShards
+	ctn contention
 
 	// probe, when non-nil, receives the per-step census assembled in the
-	// serial commit (see probe.go); census is the accumulator between
+	// routing loop (see probe.go); census is the accumulator between
 	// flushes. Observation is read-only: no decision consults either.
 	probe  Probe //meshvet:keep observer registration survives trials (SetProbe detaches)
 	census StepCensus
@@ -281,6 +274,19 @@ func (e *Engine) Resident(id grid.NodeID) int {
 		return 0
 	}
 	return int(e.ctn.resident[id])
+}
+
+// ResidencyCensus returns a copy of the per-node residency counters,
+// regardless of whether contention is currently enabled — a testing and
+// debugging aid for asserting that a finished load run released every
+// counter (Resident reads zero once contention is disabled, which would
+// mask stale state).
+func (e *Engine) ResidencyCensus() []int {
+	out := make([]int, len(e.ctn.resident))
+	for i, r := range e.ctn.resident {
+		out[i] = int(r)
+	}
+	return out
 }
 
 // LinkPending returns how many traversals stalled on the directed link
@@ -507,7 +513,6 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 		}
 	}
 	f.StallAge = 0
-	f.stepStable = route.StepStable(r)
 	e.flights = append(e.flights, f)
 	return f, nil
 }
@@ -538,11 +543,7 @@ func (e *Engine) Step() {
 	// with a fresh link-service budget and flights are polled in injection
 	// order, so links are granted oldest-first; a flight that loses
 	// arbitration waits in place and decides again next step (reusing
-	// its memoized decision when nothing it reads changed). With
-	// sharding enabled, the decisions of step-stable flights are
-	// proposed in parallel first, into the same per-message memo; the
-	// loop below is the serial commit that consumes them — same FIFO,
-	// byte-identical result (see shard.go).
+	// its memoized decision when nothing it reads changed).
 	if e.ctn.enabled {
 		c := &e.ctn
 		for _, li := range c.dirty {
@@ -557,15 +558,10 @@ func (e *Engine) Step() {
 		}
 		c.lastPending, c.pending = c.pending, c.lastPending
 		c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
-		if e.shards.n > 1 {
-			e.propose()
-		}
-		// The serial commit doubles as the progress census: progressed
+		// The routing loop doubles as the progress census: progressed
 		// counts flights that moved or reached a terminal state this step,
-		// active counts flights still live afterwards. Both are computed in
-		// the always-serial commit, so the census — and everything built on
-		// it (gridlock detection, timeouts) — is byte-identical at every
-		// shard count.
+		// active counts flights still live afterwards. Gridlock detection
+		// and timeouts are built on it.
 		progressed, active := 0, 0
 		for _, f := range e.flights {
 			if f.Msg.Done() {

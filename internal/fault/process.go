@@ -62,8 +62,12 @@ func (d Delay) validate(what string) error {
 	default:
 		return fmt.Errorf("fault: unknown %s model %q (want %s|%s)", what, d.Model, DelayBernoulli, DelayWeibull)
 	}
-	if d.Rate <= 0 || d.Rate > 1 {
+	// NaN fails every comparison, so the range checks alone would pass it.
+	if !(d.Rate > 0 && d.Rate <= 1) {
 		return fmt.Errorf("fault: %s rate %v out of range (0, 1]", what, d.Rate)
+	}
+	if math.IsNaN(d.Shape) || math.IsInf(d.Shape, 0) {
+		return fmt.Errorf("fault: %s shape %v is not finite", what, d.Shape)
 	}
 	if d.Model == DelayWeibull && d.Shape < 0 {
 		return fmt.Errorf("fault: %s weibull shape %v must be >= 0", what, d.Shape)
@@ -71,7 +75,12 @@ func (d Delay) validate(what string) error {
 	return nil
 }
 
-// Sample draws one delay in steps (always >= 1).
+// maxDelay caps a Weibull delay draw: far past any run's horizon, and far
+// enough below the int range that step + delay cannot overflow.
+const maxDelay = 1 << 30
+
+// Sample draws one delay in steps (always >= 1, at most maxDelay for
+// weibull).
 func (d Delay) Sample(r *rng.Source) int {
 	switch d.Model {
 	case DelayWeibull:
@@ -83,6 +92,12 @@ func (d Delay) Sample(r *rng.Source) int {
 		scale := 1 / (d.Rate * math.Gamma(1+1/k))
 		u := r.Float64()
 		w := scale * math.Pow(-math.Log1p(-u), 1/k)
+		if w >= maxDelay {
+			// A draw past int range would convert to an arbitrary value
+			// (a 1-step delay on amd64); clamp it, as Geometric caps its
+			// draws, so a tiny rate means rare events, not constant ones.
+			return maxDelay
+		}
 		n := int(math.Round(w))
 		if n < 1 {
 			n = 1

@@ -23,10 +23,10 @@ import (
 // annotation without a runtime assertion (or the reverse) fails the
 // build, not a review.
 var AllocTestCoverage = map[string][]string{
-	// The serial contention step: arbitration, gating, the memoized
-	// Limited decide path, commit/traversal, harvest, and the census
-	// fold-in. Advance is
-	// a pure delegate to AdvanceGated and is covered through it.
+	// The contention step: arbitration, gating, the memoized Limited and
+	// Blind decide paths, commit/traversal, harvest, and the census
+	// fold-in. Advance is a pure delegate to AdvanceGated and is covered
+	// through it.
 	"TestContentionStepAllocFree": {
 		"ndmesh/internal/engine.Engine.Step",
 		"ndmesh/internal/engine.Engine.DetachDone",
@@ -41,17 +41,11 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/route.Message.applyBacktrack",
 		"ndmesh/internal/route.Limited.Decide",
 		"ndmesh/internal/route.classifyLimited",
+		"ndmesh/internal/route.Blind.Decide",
 	},
 	// The load-adaptive decide path.
 	"TestCongestedStepAllocFree": {
 		"ndmesh/internal/route.Congested.Decide",
-	},
-	// The sharded step's parallel propose phase and the Blind decide path
-	// (its router fleet mixes Limited and Blind).
-	"TestShardedStepAllocFree": {
-		"ndmesh/internal/engine.Engine.propose",
-		"ndmesh/internal/engine.Engine.proposeShard",
-		"ndmesh/internal/route.Blind.Decide",
 	},
 	// Flight timeouts ride on DOR head-on collisions.
 	"TestTimeoutStepAllocFree": {

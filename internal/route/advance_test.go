@@ -91,7 +91,7 @@ func TestSourceDeadEndUnderContention(t *testing.T) {
 	}
 }
 
-// TestStepStableRouters pins the parallel-propose whitelist: the routers
+// TestStepStableRouters pins the decision-memo whitelist: the routers
 // whose Decide is a pure function of step-frozen state. Congested (reads
 // mid-step residency) and Oracle (internal distance cache) must stay out.
 func TestStepStableRouters(t *testing.T) {

@@ -36,8 +36,7 @@
 // field, the reason StepStable excludes it: StepStable(r) certifies that a
 // router's decisions depend only on the header and on state frozen for the
 // whole routing phase of a step — the property that lets DecideMemo reuse
-// them and the engine's sharded stepper precompute them in parallel with
-// byte-identical results.
+// them with byte-identical results.
 package route
 
 import (
@@ -324,11 +323,10 @@ func AdvanceGated(ctx *Context, r Router, msg *Message, gate Gate) bool {
 // (every move and backtrack bumps it), ctx.M.Version() and the store's
 // Version() are unchanged: a flight that lost link arbitration gets the
 // decision a fresh Decide would return without recomputing it. Other
-// routers are asked afresh on every call. The engine's sharded propose
-// phase and AdvanceGated both decide through here, so there is one decide
-// path. Between Resets a message must be decided with one router and one
-// context, as every engine flight is: the key holds only what changes
-// during a flight.
+// routers are asked afresh on every call. AdvanceGated decides through
+// here, so there is one decide path. Between Resets a message must be
+// decided with one router and one context, as every engine flight is: the
+// key holds only what changes during a flight.
 //
 //meshvet:noalloc
 func DecideMemo(ctx *Context, r Router, msg *Message) Decision {
@@ -398,16 +396,13 @@ func commitDecision(ctx *Context, msg *Message, d Decision, gate Gate) bool {
 // a step: the fabric statuses (fault events apply before routing) and the
 // record store (information rounds run before routing). Both are
 // versioned, so DecideMemo may reuse such a router's decision across steps
-// until the header or a version changes, and the sharded stepper may
-// precompute its decisions in parallel from the step-start state and
-// commit them serially in flight-age order with results byte-identical to
-// deciding at commit time.
+// until the header or a version changes, with results byte-identical to
+// deciding afresh.
 //
 // Excluded by construction: Congested reads the load view (Resident,
-// which earlier commits in the same step mutate, and LinkPending, which
+// which earlier moves in the same step mutate, and LinkPending, which
 // changes every step), and Oracle caches a distance field inside the
-// (shared) router value. Both are decided afresh, serially at commit —
-// correct at any shard count, just not sped up.
+// (shared) router value. Both are decided afresh on every call.
 func StepStable(r Router) bool {
 	switch r.(type) {
 	case Limited, Blind, DOR:

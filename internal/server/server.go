@@ -10,7 +10,7 @@
 // tests, make the service shape work:
 //
 //   - Byte identity: a streamed response is byte-identical to the batch
-//     sweep's rows at every worker and shard count. The sweeps emit rows
+//     sweep's rows at every worker count. The sweeps emit rows
 //     in completion order tagged with cell indices; the sequencer restores
 //     index order, so streaming costs nothing in reproducibility.
 //   - Cacheability: because the bytes depend only on the canonical spec

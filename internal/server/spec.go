@@ -2,9 +2,8 @@
 // /v1/jobs, its strict decoder, the normalization pass that folds in the
 // same defaults the library's Default* configurations use, and the
 // canonical cache key. The key contract is the determinism dividend: the
-// sweeps produce byte-identical rows at every worker count and every
-// shard count, so Workers and Shards are zeroed out of the key — two
-// submissions that differ only in fan-out width are the same result and
+// sweeps produce byte-identical rows at every worker count, so Workers
+// is zeroed out of the key — two submissions that differ only in fan-out width are the same result and
 // hit the same cache entry. Everything else that can reach the rows
 // (workload, engine configuration, seed) is in the key; canonicalization
 // goes through the Spec struct itself (decode, default, re-marshal), so
@@ -102,12 +101,11 @@ type Spec struct {
 	// seed is a different result).
 	Seed uint64 `json:"seed,omitempty"`
 
-	// Workers/Shards size the fan-out. They are explicitly NOT part of
-	// the cache key: every width produces byte-identical rows, so the
-	// daemon is free to serve a 1-worker submission from an 8-worker
-	// run's cache entry (and does).
+	// Workers sizes the fan-out. It is explicitly NOT part of the cache
+	// key: every width produces byte-identical rows, so the daemon is free
+	// to serve a 1-worker submission from an 8-worker run's cache entry
+	// (and does).
 	Workers int `json:"workers,omitempty"`
-	Shards  int `json:"shards,omitempty"`
 
 	// Trace is the recorded NDWT workload a replay job reproduces
 	// (base64 in JSON, per encoding/json []byte convention). Replay only.
@@ -194,9 +192,6 @@ func (s *Spec) normalize() error {
 	}
 	if s.Workers < 0 || s.Workers > maxList {
 		return fmt.Errorf("workers %d out of range [0, %d]", s.Workers, maxList)
-	}
-	if s.Shards < 0 || s.Shards > maxList {
-		return fmt.Errorf("shards %d out of range [0, %d]", s.Shards, maxList)
 	}
 
 	// Replay: the trace is the workload — the mesh shape, the phases and
@@ -334,8 +329,7 @@ func (s *Spec) cells() int {
 	}
 }
 
-// Key returns the spec's canonical cache key. Workers and Shards are
-// zeroed first — the determinism contract makes every fan-out width the
+// Key returns the spec's canonical cache key. Workers is zeroed first — the determinism contract makes every fan-out width the
 // same bytes — then the normalized struct is marshaled in declaration
 // order and hashed. Two submissions with reordered JSON keys, different
 // whitespace, or omitted-vs-explicit defaults share a key; any change
@@ -343,7 +337,6 @@ func (s *Spec) cells() int {
 func (s *Spec) Key() string {
 	c := *s
 	c.Workers = 0
-	c.Shards = 0
 	data, err := json.Marshal(&c)
 	if err != nil {
 		// A normalized spec is always marshalable (non-finite floats were
@@ -370,7 +363,7 @@ func (s *Spec) saturationOptions() ndmesh.SaturationOptions {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Workers: s.Workers, Shards: s.Shards,
+		Workers: s.Workers,
 	}
 }
 
@@ -387,7 +380,7 @@ func (s *Spec) closedLoopOptions() ndmesh.ClosedLoopOptions {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Workers: s.Workers, Shards: s.Shards,
+		Workers: s.Workers,
 	}
 }
 
@@ -403,7 +396,7 @@ func (s *Spec) reliabilityOptions() ndmesh.ReliabilityOptions {
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Workers: s.Workers, Shards: s.Shards,
+		Workers: s.Workers,
 	}
 }
 
@@ -417,7 +410,6 @@ func (s *Spec) loadOptions(tr *traffic.Trace) ndmesh.LoadOptions {
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Shards: s.Shards,
 		Seed:   s.Seed,
 		Replay: tr,
 	}

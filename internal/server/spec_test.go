@@ -64,6 +64,7 @@ func TestParseSpecRejections(t *testing.T) {
 		"probe-reliability": `{"kind":"reliability","probe":true}`,
 		"bad-lambda":        `{"kind":"open-loop","lambda":1000}`,
 		"workers-over":      `{"kind":"open-loop","workers":1000}`,
+		"shards":            `{"kind":"open-loop","shards":2}`,
 	} {
 		t.Run(name, func(t *testing.T) {
 			if _, err := ParseSpec([]byte(body)); err == nil {
@@ -96,7 +97,7 @@ func TestParseSpecReplay(t *testing.T) {
 
 // TestSpecKeyContract pins the cache-key semantics the daemon's cache
 // tests then observe over HTTP: key-order/whitespace insensitivity,
-// omitted-vs-explicit defaults merging, Workers/Shards exclusion, and
+// omitted-vs-explicit defaults merging, Workers exclusion, and
 // splits on anything that can reach the rows.
 func TestSpecKeyContract(t *testing.T) {
 	key := func(body string) string {
@@ -112,7 +113,6 @@ func TestSpecKeyContract(t *testing.T) {
 		"{\n  \"kind\": \"open-loop\", \"dims\": [4, 4],\n  \"rates\": [0.1], \"seed\": 9\n}", // whitespace
 		`{"kind":"open-loop","dims":[4,4],"rates":[0.1],"seed":9,"lambda":1}`,                 // explicit default
 		`{"kind":"open-loop","dims":[4,4],"rates":[0.1],"seed":9,"workers":7}`,                // fan-out width
-		`{"kind":"open-loop","dims":[4,4],"rates":[0.1],"seed":9,"shards":3}`,                 // shard width
 	}
 	for i, body := range same {
 		if key(body) != base {
@@ -161,6 +161,25 @@ func TestParseSpecCanonicalIdempotent(t *testing.T) {
 	}
 }
 
+// TestSpecKeyPinned pins the hex cache key of one open-loop and one
+// reliability spec, so a change to the Spec struct that silently re-keys
+// every cached result (a renamed field, a reordered one, a dropped
+// omitempty) fails here instead of emptying a running daemon's cache.
+func TestSpecKeyPinned(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"kind":"open-loop","dims":[8,8],"routers":["limited","blind"],"patterns":["uniform","transpose"],"rates":[0.05,0.2],"warmup":16,"measure":64,"drain":96,"node_capacity":4,"faults":3,"fault_interval":20,"seed":42,"workers":3}`: "55125b5b1fe113e2d02a0f94f17f27eb737a7b35913183f80c1df826e9b2d5f6",
+		`{"kind":"reliability","dims":[6,6,6],"fault_rates":[0,0.01,0.04],"trials":8,"fault_model":"weibull","fault_shape":1.5,"fault_repair":0.1,"seed":7}`:                                                                               "400297482aab2c2d78d64aa4080dd9e3d3d0e169534a6160ddfefd76b4551712",
+	} {
+		s, err := ParseSpec([]byte(body))
+		if err != nil {
+			t.Fatalf("ParseSpec(%s): %v", body, err)
+		}
+		if got := s.Key(); got != want {
+			t.Errorf("Key(%s) = %s, want %s", body, got, want)
+		}
+	}
+}
+
 // FuzzSpecDecode hammers the decoder with arbitrary bytes: it must never
 // panic, never accept a spec it cannot canonicalize idempotently, and
 // never produce a spec whose Key diverges from its own round trip. The
@@ -170,7 +189,7 @@ func FuzzSpecDecode(f *testing.F) {
 	seeds := []string{
 		`{}`,
 		`{"kind":"open-loop"}`,
-		`{"kind":"open-loop","dims":[4,4],"rates":[0.05,0.2],"seed":42,"workers":2,"shards":2}`,
+		`{"kind":"open-loop","dims":[4,4],"rates":[0.05,0.2],"seed":42,"workers":2}`,
 		`{"kind":"closed-loop","windows":[1,2,4],"node_capacity":4,"flight_timeout":32}`,
 		`{"kind":"reliability","fault_rates":[0,0.01,0.04],"trials":8,"fault_model":"weibull","fault_shape":1.5}`,
 		`{"kind":"replay","trace":"TkRXVA=="}`,

@@ -104,39 +104,41 @@ func TestOpenLoopRetryRecordReplay(t *testing.T) {
 	}
 }
 
-// TestCongestedRecoveryShardDeterministic is the mid-run-recovery
-// coverage satellite: a congested-router run under a repairing fault
+// TestCongestedRecoveryWorkerDeterministic is the mid-run-recovery
+// coverage satellite: congested-router trials under a repairing fault
 // process — Fail and Recover events landing on a mesh with resident
-// flights, LoadView reads taken across the recoveries — must stay
-// byte-identical at shard counts {1, 2, 7, GOMAXPROCS} (run under -race
-// in CI) and must actually apply recoveries mid-run.
-func TestCongestedRecoveryShardDeterministic(t *testing.T) {
-	base := LoadOptions{
-		Dims: []int{6, 6}, Router: "congested", Pattern: "uniform",
-		Rate: 0.3, Warmup: 16, Measure: 128, Drain: 96,
-		NodeCapacity: 4, FlightTimeout: 16, RetryBackoff: 4, GridlockWindow: 8,
-		FaultRate: 0.05, FaultModel: "bernoulli", FaultRepair: 30,
-		Seed: 13,
-	}
-	serial, err := LoadRun(base)
+// flights, LoadView reads taken across the recoveries — must actually
+// apply recoveries mid-run and stay byte-identical at every worker count
+// (run under -race in CI).
+func TestCongestedRecoveryWorkerDeterministic(t *testing.T) {
+	opt := DefaultReliability()
+	opt.Dims = []int{6, 6}
+	opt.Routers = []string{"congested"}
+	opt.Patterns = []string{"uniform"}
+	opt.FaultRates = []float64{0.05}
+	opt.FaultModel, opt.FaultRepair = "bernoulli", 30
+	opt.Trials, opt.Rate = 3, 0.3
+	opt.Warmup, opt.Measure, opt.Drain = 16, 128, 96
+	opt.NodeCapacity, opt.FlightTimeout, opt.RetryBackoff, opt.GridlockWindow = 4, 16, 4, 8
+	serial, err := ReliabilitySweepWorkers(opt, 13, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial.Failed == 0 || serial.Recovered == 0 {
-		t.Fatalf("cell applied %d fails / %d recoveries; need both mid-run (tune the rate)", serial.Failed, serial.Recovered)
+	for _, row := range serial {
+		if row.MeanFailed == 0 || row.MeanRecovered == 0 {
+			t.Fatalf("cell applied %v fails / %v recoveries per trial; need both mid-run (tune the rate)", row.MeanFailed, row.MeanRecovered)
+		}
+		if row.Delivered == 0 {
+			t.Fatal("nothing delivered under the fault process; the cell is dead")
+		}
 	}
-	if serial.Delivered == 0 {
-		t.Fatal("nothing delivered under the fault process; the cell is dead")
-	}
-	for _, s := range shardCounts {
-		opt := base
-		opt.Shards = s
-		got, err := LoadRun(opt)
+	for _, w := range parWorkerCounts {
+		got, err := ReliabilitySweepWorkers(opt, 13, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(got, serial) {
-			t.Errorf("shards=%d:\n got %+v\nwant %+v", s, got, serial)
+			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
 		}
 	}
 }

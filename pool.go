@@ -8,7 +8,7 @@ package ndmesh
 // reservoir sound: a returned simulation is indistinguishable from a fresh
 // one after Reset, so which warm simulation a job receives can never reach
 // its results. loadPoint's deferred cleanup (flights detached, contention
-// off, shards released — TestLoadPointLeavesEngineClean) is what makes it
+// off — TestLoadPointLeavesEngineClean) is what makes it
 // safe: simulations come back clean on every exit path, cancellation
 // included, which EnginePool.VerifyClean audits.
 //
@@ -123,14 +123,13 @@ func (p *EnginePool) put(key simKey, sim *Simulation) {
 // VerifyClean audits every idle simulation against the clean-engine
 // contract the sweeps' deferred cleanup guarantees (the residency-census
 // assertions of TestLoadPointLeavesEngineClean): no attached flights, an
-// all-zero residency census, contention disabled and shard workers
-// released. It reports aggregate violation counts, so the result does not
+// all-zero residency census and contention disabled. It reports aggregate violation counts, so the result does not
 // depend on map iteration order. The daemon's stress tests call it after
 // mixed-workload runs, mid-stream cancellations and shutdown.
 func (p *EnginePool) VerifyClean() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var flights, residency, contention, sharded, total int
+	var flights, residency, contention, total int
 	//meshvet:ordered aggregate violation counts are order-insensitive
 	for _, sims := range p.idle {
 		for _, sim := range sims {
@@ -145,16 +144,13 @@ func (p *EnginePool) VerifyClean() error {
 			if eng.ContentionEnabled() {
 				contention++
 			}
-			if eng.Shards() != 1 {
-				sharded++
-			}
 		}
 	}
-	if flights == 0 && residency == 0 && contention == 0 && sharded == 0 {
+	if flights == 0 && residency == 0 && contention == 0 {
 		return nil
 	}
-	return fmt.Errorf("ndmesh: engine pool dirty across %d idle simulations: %d attached flights, %d nonzero residency counters, %d with contention enabled, %d with shard workers configured",
-		total, flights, residency, contention, sharded)
+	return fmt.Errorf("ndmesh: engine pool dirty across %d idle simulations: %d attached flights, %d nonzero residency counters, %d with contention enabled",
+		total, flights, residency, contention)
 }
 
 // checkout opens a sweep-scoped view of the pool: each sweep worker gets

@@ -3,8 +3,7 @@ package ndmesh
 // Telemetry tests at the repository root: the probe layer's two headline
 // contracts driven through the real load runner. (1) Attaching a probe
 // changes nothing — the LoadPoint is byte-identical to the unprobed run —
-// and the telemetry itself is byte-identical at every worker and shard
-// count, because the census lives in the engine's always-serial commit.
+// and the telemetry itself is byte-identical at every worker count.
 // (2) The time series resolves the E22 gridlock story in time: the
 // in-flight population plateaus and the stall census ramps to the full
 // population before the detector fires.
@@ -83,29 +82,6 @@ func TestProbedLoadPointUnchanged(t *testing.T) {
 	probed, _ := runProbed(t, probedLoadCell())
 	if got, want := probed, fmt.Sprintf("%+v", bare); got != want {
 		t.Errorf("probed LoadPoint diverged:\n got %s\nwant %s", got, want)
-	}
-}
-
-// TestProbedTelemetryShardDeterministic extends the byte-identical
-// contract to the telemetry itself: the time series, heatmap and latency
-// histogram written by a probed run are identical at every intra-step
-// shard count (run under -race in CI), because every census field is
-// assembled in the always-serial commit phase.
-func TestProbedTelemetryShardDeterministic(t *testing.T) {
-	basePt, base := runProbed(t, probedLoadCell())
-	names := []string{"timeseries", "heatmap", "hist"}
-	for _, s := range shardCounts {
-		opt := probedLoadCell()
-		opt.Shards = s
-		pt, got := runProbed(t, opt)
-		if pt != basePt {
-			t.Errorf("shards=%d: LoadPoint diverged:\n got %s\nwant %s", s, pt, basePt)
-		}
-		for i := range got {
-			if !bytes.Equal(got[i], base[i]) {
-				t.Errorf("shards=%d: %s telemetry not byte-identical to serial run", s, names[i])
-			}
-		}
 	}
 }
 

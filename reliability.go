@@ -16,7 +16,7 @@ package ndmesh
 // per trial in job order (cells outer, trials inner), each trial writes
 // only its own LoadPoint slot, and the fold from trial points into rows
 // is a serial pass over that slice — so the rows are byte-identical for
-// every worker count and every shard count.
+// every worker count.
 
 import (
 	"fmt"
@@ -64,10 +64,9 @@ type ReliabilityOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	// Workers is the parallel fan-out width (< 1 means GOMAXPROCS); Shards
-	// the intra-step shard-worker count per trial. Both leave the rows
-	// byte-identical at every value.
-	Workers, Shards int
+	// Workers is the parallel fan-out width (< 1 means GOMAXPROCS); the
+	// rows are byte-identical at every value.
+	Workers int
 	// Progress, when non-nil, is called after every completed trial with
 	// (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -175,7 +174,7 @@ func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, er
 	}
 	maxRate := 0.0
 	for _, fr := range opt.FaultRates {
-		if fr < 0 || fr > 1 {
+		if !(fr >= 0 && fr <= 1) { // NaN fails both comparisons
 			return nil, fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", fr)
 		}
 		if fr > maxRate {
@@ -194,12 +193,11 @@ func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, er
 		FaultRate: maxRate, FaultModel: opt.FaultModel,
 		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
 		Clustered: opt.Clustered,
-		Shards:    opt.Shards,
 	}
 	if err := validateLoadShape(&probe); err != nil {
 		return nil, err
 	}
-	opt.Lambda, opt.LinkRate, opt.Shards = probe.Lambda, probe.LinkRate, probe.Shards
+	opt.Lambda, opt.LinkRate = probe.Lambda, probe.LinkRate
 	opt.FaultModel, opt.FaultShape = probe.FaultModel, probe.FaultShape
 	shape, err := grid.NewShape(opt.Dims...)
 	if err != nil {
@@ -246,7 +244,6 @@ func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, er
 			FaultRate: faultRate, FaultModel: opt.FaultModel,
 			FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
 			Clustered: opt.Clustered,
-			Shards:    opt.Shards,
 			Cancel:    opt.Cancel,
 		}
 		pt, err := p.loadPoint(sopt, workload{pattern: pattern, rate: opt.Rate}, opt.Routers[cell%nk], rngs[j])

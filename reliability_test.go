@@ -3,6 +3,7 @@ package ndmesh
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 
@@ -45,30 +46,6 @@ func TestParallelReliabilitySweepDeterministic(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, serial) {
 			t.Errorf("workers=%d:\n got %+v\nwant %+v", w, got, serial)
-		}
-	}
-}
-
-// TestShardedReliabilitySweepDeterministic is the E23 row of the shard
-// matrix: trials whose runs apply fail AND recover events to meshes with
-// resident flights must stay byte-identical at every intra-step shard
-// count {1, 2, 7, GOMAXPROCS} (run under -race in CI).
-func TestShardedReliabilitySweepDeterministic(t *testing.T) {
-	opt := smallReliability()
-	serial, err := ReliabilitySweepWorkers(opt, 42, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range shardCounts {
-		opt.Shards = s
-		for _, w := range []int{1, 3} {
-			got, err := ReliabilitySweepWorkers(opt, 42, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, serial) {
-				t.Errorf("shards=%d workers=%d:\n got %+v\nwant %+v", s, w, got, serial)
-			}
 		}
 	}
 }
@@ -190,6 +167,11 @@ func TestReliabilitySweepValidation(t *testing.T) {
 		"repair below 1":   func(o *ReliabilityOptions) { o.FaultRepair = 0.5 },
 		"unknown process":  func(o *ReliabilityOptions) { o.Process = "warp" },
 		"rate beyond proc": func(o *ReliabilityOptions) { o.Rate = 1.5 },
+		"NaN fault rate":   func(o *ReliabilityOptions) { o.FaultRates = []float64{0, math.NaN()} },
+		"Inf fault rate":   func(o *ReliabilityOptions) { o.FaultRates = []float64{math.Inf(1)} },
+		"NaN repair":       func(o *ReliabilityOptions) { o.FaultRepair = math.NaN() },
+		"Inf repair":       func(o *ReliabilityOptions) { o.FaultRepair = math.Inf(1) },
+		"NaN shape":        func(o *ReliabilityOptions) { o.FaultModel, o.FaultShape = "weibull", math.NaN() },
 	} {
 		opt := base
 		mutate(&opt)

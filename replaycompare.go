@@ -16,7 +16,7 @@ package ndmesh
 // router job in row order (replay consumes no randomness, but the split
 // keeps the derivation uniform with every other sweep), each job writes
 // only its own result slot, and aggregation is serial — byte-identical for
-// every worker and shard count.
+// every worker count.
 
 import (
 	"fmt"
@@ -46,10 +46,9 @@ type ReplayCompareOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. Shards
-	// is the intra-step shard-worker count per arm. Both leave the rows
-	// byte-identical at every value.
-	Workers, Shards int
+	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
+	// rows are byte-identical at every value.
+	Workers int
 	// Progress, when non-nil, is called after every completed router arm
 	// with (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -89,7 +88,6 @@ func replayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareR
 		Congestion:    opt.Congestion,
 		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
 		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
-		Shards: opt.Shards,
 		Replay: opt.Trace,
 	}
 	base.applyReplay()
@@ -100,7 +98,6 @@ func replayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareR
 		Congestion:    base.Congestion,
 		FlightTimeout: base.FlightTimeout, RetryBackoff: base.RetryBackoff,
 		Bubble: base.Bubble, GridlockWindow: base.GridlockWindow,
-		Shards: base.Shards,
 	}
 	if err := validateLoadShape(&sopt); err != nil {
 		return nil, err

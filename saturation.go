@@ -13,6 +13,7 @@ package ndmesh
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"ndmesh/internal/engine"
@@ -88,12 +89,6 @@ type SaturationOptions struct {
 	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
 	// results are identical for every value.
 	Workers int
-	// Shards splits each cell's flight population across this many
-	// intra-step shard workers (contention-mode stepping; < 2 means
-	// serial). Orthogonal to Workers — Workers parallelizes across cells,
-	// Shards inside one — and under the same contract: the rows are
-	// byte-identical for every shard count (engine.SetShards).
-	Shards int
 	// Probe, when non-nil, receives the per-step census of the run (see
 	// internal/probe). Because probes are stateful accumulators, a probed
 	// sweep must be a single cell (one pattern, one rate, one router) —
@@ -288,7 +283,7 @@ func validateSaturation(opt *SaturationOptions) error {
 
 // validateLoadShape checks (and defaults) the workload-independent run
 // configuration shared by the open-loop sweeps, the closed-loop sweep and
-// trace replays: the phase lengths and the contention/sharding parameters.
+// trace replays: the phase lengths and the contention parameters.
 func validateLoadShape(opt *SaturationOptions) error {
 	if opt.Measure < 1 {
 		return fmt.Errorf("ndmesh: load run needs a measurement window (Measure >= 1)")
@@ -301,9 +296,6 @@ func validateLoadShape(opt *SaturationOptions) error {
 	}
 	if opt.LinkRate < 1 {
 		opt.LinkRate = 1
-	}
-	if opt.Shards < 1 {
-		opt.Shards = 1
 	}
 	if opt.FlightTimeout < 0 {
 		opt.FlightTimeout = 0
@@ -322,6 +314,13 @@ func validateLoadShape(opt *SaturationOptions) error {
 	}
 	if opt.FaultStart < 0 {
 		return fmt.Errorf("ndmesh: FaultStart %d must be >= 0", opt.FaultStart)
+	}
+	// NaN fails every comparison, so the range checks below would pass
+	// it; a non-finite fault parameter is never meaningful.
+	for _, v := range []float64{opt.FaultRate, opt.FaultShape, opt.FaultRepair} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("ndmesh: non-finite fault parameter %v", v)
+		}
 	}
 	if opt.FaultRate < 0 || opt.FaultRate > 1 {
 		return fmt.Errorf("ndmesh: fault rate %v out of range [0, 1]", opt.FaultRate)
@@ -524,7 +523,6 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 		FlightTimeout:  opt.FlightTimeout,
 		Bubble:         opt.Bubble,
 	})
-	eng.SetShards(opt.Shards)
 	if cl != nil && opt.FlightTimeout > 0 {
 		cl.ConfigureRetry(opt.RetryBackoff)
 	}
@@ -539,16 +537,15 @@ func (p *simPool) loadPoint(opt SaturationOptions, wl workload, router string, r
 	}
 	// Every exit path must hand the pooled engine back clean: past-saturation
 	// cells end the drain with backlog flights still attached and counted in
-	// the residency census, and a persistent or sharded reuse of the engine
-	// would inherit that corrupt state (previously only simPool.get's Reset
+	// the residency census, and a persistent reuse of the engine would
+	// inherit that corrupt state (previously only simPool.get's Reset
 	// rescued the next cell). ClearFlights detaches and recycles the backlog
 	// while contention is still enabled, so resetContention releases every
-	// residency counter; then the shard workers stop and contention turns
-	// off. TestLoadPointLeavesEngineClean pins all three.
+	// residency counter; then contention turns off.
+	// TestLoadPointLeavesEngineClean pins both.
 	defer func() {
 		eng.SetProbe(nil)
 		eng.ClearFlights()
-		eng.SetShards(1)
 		eng.DisableContention()
 	}()
 	ph := traffic.Phases{Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain}
@@ -720,9 +717,6 @@ type LoadOptions struct {
 	FaultModel  string
 	FaultShape  float64
 	FaultRepair float64
-	// Shards is the intra-step shard-worker count (< 2 means serial); the
-	// point is byte-identical for every value.
-	Shards int
 	// Probe, when non-nil, receives the run's per-step census (see
 	// internal/probe and the SaturationOptions field of the same name);
 	// ProbeEvery > 1 decimates the flush cadence. Read-only: the
@@ -827,8 +821,7 @@ func LoadRun(opt LoadOptions) (traffic.LoadPoint, error) {
 		Clustered: opt.Clustered, FaultStart: opt.FaultStart,
 		FaultRate: opt.FaultRate, FaultModel: opt.FaultModel,
 		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-		Shards: opt.Shards,
-		Probe:  opt.Probe, ProbeEvery: opt.ProbeEvery,
+		Probe: opt.Probe, ProbeEvery: opt.ProbeEvery,
 		Cancel: opt.Cancel,
 	}
 	if opt.Window > 0 || opt.Replay != nil {

@@ -1,8 +1,12 @@
 package ndmesh
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"testing"
+
+	"ndmesh/internal/rng"
 )
 
 // smallSaturation is a quick grid used by the determinism and behavior
@@ -193,6 +197,23 @@ func TestSaturationRejectsUnofferableRates(t *testing.T) {
 	if _, err := SaturationSweep(opt, 1); err == nil {
 		t.Error("negative warmup should be rejected")
 	}
+	// NaN passes both range comparisons, so without a finiteness check a
+	// NaN fault rate ran fault-free and a NaN repair delay turned repair
+	// off.
+	for name, mutate := range map[string]func(*SaturationOptions){
+		"NaN fault rate":  func(o *SaturationOptions) { o.FaultRate = math.NaN() },
+		"+Inf fault rate": func(o *SaturationOptions) { o.FaultRate = math.Inf(1) },
+		"NaN repair":      func(o *SaturationOptions) { o.FaultRate, o.FaultRepair = 0.02, math.NaN() },
+		"+Inf repair":     func(o *SaturationOptions) { o.FaultRate, o.FaultRepair = 0.02, math.Inf(1) },
+		"NaN shape":       func(o *SaturationOptions) { o.FaultRate, o.FaultModel, o.FaultShape = 0.02, "weibull", math.NaN() },
+		"-Inf shape":      func(o *SaturationOptions) { o.FaultRate, o.FaultModel, o.FaultShape = 0.02, "weibull", math.Inf(-1) },
+	} {
+		o := smallSaturation()
+		mutate(&o)
+		if _, err := SaturationSweep(o, 1); err == nil {
+			t.Errorf("%s should be rejected", name)
+		}
+	}
 }
 
 // TestLoadRunMatchesSweepCell pins LoadRun (the cmd/loadgen path) to the
@@ -240,5 +261,52 @@ func TestSimulationRouteUnaffectedByContention(t *testing.T) {
 	}
 	if res.Hops < res.D0 {
 		t.Fatalf("hops %d below distance %d", res.Hops, res.D0)
+	}
+}
+
+// TestLoadPointLeavesEngineClean pins the backlog-cleanup fix: after every
+// load point — deep underload and past saturation (standing backlog
+// survives the drain) — the pooled engine must come back with no
+// attached flights and an all-zero residency census. Before the fix the
+// backlog stayed attached with its residency counted, and only
+// simPool.get's Reset rescued the next cell.
+func TestLoadPointLeavesEngineClean(t *testing.T) {
+	opt := smallSaturation()
+	pool := newSimPool()
+	for _, tc := range []struct {
+		name  string
+		rate  float64
+		drain int
+	}{
+		{"underload", 0.05, opt.Drain},
+		{"past-saturation", 0.5, 8}, // short drain: backlog guaranteed
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := opt
+			o.Drain = tc.drain
+			pt, err := pool.loadPoint(o, workload{pattern: "uniform", rate: tc.rate}, "limited", rng.New(3).Split())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.name != "underload" && pt.Unfinished == 0 {
+				t.Fatal("past-saturation cell left no backlog; the test lost its teeth")
+			}
+			sim, ok := pool.sims[simKey{fmt.Sprint(o.Dims), o.Lambda}]
+			if !ok {
+				t.Fatal("pooled simulation missing")
+			}
+			eng := sim.eng()
+			if n := len(eng.Flights()); n != 0 {
+				t.Errorf("%d flights still attached after load point", n)
+			}
+			for id, r := range eng.ResidencyCensus() {
+				if r != 0 {
+					t.Errorf("node %d residency %d after load point, want 0", id, r)
+				}
+			}
+			if eng.ContentionEnabled() {
+				t.Error("contention still enabled after load point")
+			}
+		})
 	}
 }

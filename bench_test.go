@@ -248,7 +248,7 @@ func benchTheorems(b *testing.B, dims []int, trials int) {
 	b.Helper()
 	var viol int
 	for i := 0; i < b.N; i++ {
-		rep, err := TheoremSweep(dims, trials, uint64(i+1))
+		rep, err := TheoremSweepWorkers(dims, trials, uint64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func benchTheorems(b *testing.B, dims []int, trials int) {
 func BenchmarkConvergenceSweep(b *testing.B) {
 	var maxB int
 	for i := 0; i < b.N; i++ {
-		rows, err := ConvergenceSweep([][]int{{16, 16}, {8, 8, 8}}, 3, 11)
+		rows, err := ConvergenceSweepWorkers([][]int{{16, 16}, {8, 8, 8}}, 3, 11, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -286,7 +286,7 @@ func BenchmarkDegradationSweep(b *testing.B) {
 	opt.Intervals = []int{4, 32}
 	var blindExtra float64
 	for i := 0; i < b.N; i++ {
-		rows, err := DegradationSweep(opt, uint64(i+1))
+		rows, err := DegradationSweepWorkers(opt, uint64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -303,7 +303,7 @@ func BenchmarkDegradationSweep(b *testing.B) {
 func BenchmarkLambdaSweep(b *testing.B) {
 	var limExtra float64
 	for i := 0; i < b.N; i++ {
-		rows, err := LambdaSweep([]int{16, 16}, []int{1, 8}, 5, uint64(i+1))
+		rows, err := LambdaSweepWorkers([]int{16, 16}, []int{1, 8}, 5, uint64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -320,7 +320,7 @@ func BenchmarkLambdaSweep(b *testing.B) {
 func BenchmarkMemorySweep(b *testing.B) {
 	var records int
 	for i := 0; i < b.N; i++ {
-		rows, err := MemorySweep([][]int{{16, 16}}, []int{4}, 3)
+		rows, err := MemorySweepWorkers([][]int{{16, 16}}, []int{4}, 3, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func BenchmarkMemorySweep(b *testing.B) {
 func BenchmarkOscillationSweep(b *testing.B) {
 	var affected float64
 	for i := 0; i < b.N; i++ {
-		rows, err := OscillationSweep([]int{16, 16}, 4, []int{4}, 3, uint64(i+1))
+		rows, err := OscillationSweepWorkers([]int{16, 16}, 4, []int{4}, 3, uint64(i+1), 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,9 +423,8 @@ func BenchmarkDegradationSweepWorkers(b *testing.B) {
 			opt := DefaultDegradation()
 			opt.Trials = 8
 			opt.Intervals = []int{4, 32}
-			opt.Workers = w
 			for i := 0; i < b.N; i++ {
-				if _, err := DegradationSweep(opt, uint64(i+1)); err != nil {
+				if _, err := DegradationSweepWorkers(opt, uint64(i+1), w); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -22,7 +22,7 @@ import (
 
 	"ndmesh/internal/engine"
 	"ndmesh/internal/grid"
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
 
@@ -62,8 +62,6 @@ type ClosedLoopOptions struct {
 	FaultModel            string
 	FaultShape            float64
 	FaultRepair           float64
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS.
-	Workers int
 	// Probe/ProbeEvery attach a per-step census probe (see the
 	// SaturationOptions fields of the same names); a probed sweep must be
 	// a single cell.
@@ -133,20 +131,10 @@ type ClosedLoopRow struct {
 	LatP50, LatP95, LatP99, LatMax int
 }
 
-// ClosedLoopSweep runs the E21 window-size grid with all available cores.
-func ClosedLoopSweep(opt ClosedLoopOptions, seed uint64) ([]ClosedLoopRow, error) {
-	opt.Workers = 0
-	return closedLoopSweep(opt, seed)
-}
-
-// ClosedLoopSweepWorkers is ClosedLoopSweep with an explicit worker count
-// (each (pattern, window, router) cell is one parallel job).
+// ClosedLoopSweepWorkers runs the E21 window-size grid on workers parallel
+// workers (< 1 means GOMAXPROCS); each (pattern, window, router) cell is
+// one job.
 func ClosedLoopSweepWorkers(opt ClosedLoopOptions, seed uint64, workers int) ([]ClosedLoopRow, error) {
-	opt.Workers = workers
-	return closedLoopSweep(opt, seed)
-}
-
-func closedLoopSweep(opt ClosedLoopOptions, seed uint64) ([]ClosedLoopRow, error) {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.Windows) == 0 {
 		return nil, fmt.Errorf("ndmesh: closed-loop sweep needs at least one router, pattern and window")
 	}
@@ -178,27 +166,17 @@ func closedLoopSweep(opt ClosedLoopOptions, seed uint64) ([]ClosedLoopRow, error
 	}
 	// One job per (pattern, window, router) cell, pattern-major — the order
 	// the rows are reported in and the order the job streams are split in.
+	ctl := sweepControl[ClosedLoopRow]{workers: workers, probed: opt.Probe != nil,
+		pool: opt.Pool, cancel: opt.Cancel, emit: opt.Emit, progress: opt.Progress}
 	jobs := len(opt.Patterns) * len(opt.Windows) * len(opt.Routers)
-	if opt.Probe != nil && jobs > 1 {
-		return nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", jobs)
-	}
-	rngs := splitN(seed, jobs)
-	rows := make([]ClosedLoopRow, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	co := opt.Pool.checkout()
-	defer co.release()
-	err = par.ForState(opt.Workers, jobs, co.worker, func(p *simPool, j int) error {
-		if opt.Cancel != nil && opt.Cancel() {
-			return ErrCanceled
-		}
+	return runCells(ctl, seed, jobs, func(p *simPool, j int, r *rng.Source) (ClosedLoopRow, error) {
 		pi := j / (len(opt.Windows) * len(opt.Routers))
 		wi := j / len(opt.Routers) % len(opt.Windows)
 		ki := j % len(opt.Routers)
 		window := opt.Windows[wi]
-		pt, err := p.loadPoint(sopt, workload{pattern: opt.Patterns[pi], window: window},
-			opt.Routers[ki], rngs[j])
+		pt, err := p.loadPoint(sopt, workload{pattern: opt.Patterns[pi], window: window}, opt.Routers[ki], r)
 		if err != nil {
-			return err
+			return ClosedLoopRow{}, err
 		}
 		row := ClosedLoopRow{
 			Dims:         shape.String(),
@@ -220,15 +198,6 @@ func closedLoopSweep(opt ClosedLoopOptions, seed uint64) ([]ClosedLoopRow, error
 		if steps := opt.Measure * shape.NumNodes(); steps > 0 {
 			row.InjectedRate = float64(pt.Injected) / float64(steps)
 		}
-		rows[j] = row
-		if opt.Emit != nil {
-			opt.Emit(j, row)
-		}
-		progress()
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

@@ -75,7 +75,7 @@ func TestClosedLoopCurveShape(t *testing.T) {
 	}
 	opt := DefaultClosedLoop()
 	opt.Patterns = []string{"uniform"}
-	rows, err := ClosedLoopSweep(opt, 1)
+	rows, err := ClosedLoopSweepWorkers(opt, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,11 +239,10 @@ func convergenceTable(seed uint64, workers int) (*stats.Table, error) {
 
 func degradationTable(seed uint64, trials, workers int) (*stats.Table, error) {
 	opt := ndmesh.DefaultDegradation()
-	opt.Workers = workers
 	if trials > 0 {
 		opt.Trials = trials
 	}
-	rows, err := ndmesh.DegradationSweep(opt, seed)
+	rows, err := ndmesh.DegradationSweepWorkers(opt, seed, workers)
 	if err != nil {
 		return nil, err
 	}

@@ -17,7 +17,7 @@ package ndmesh
 
 import (
 	"ndmesh/internal/grid"
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
 
@@ -42,9 +42,6 @@ type CongestionShiftOptions struct {
 	// routers see the same schedule).
 	Faults, FaultInterval int
 	Clustered             bool
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
-	// results are identical for every value.
-	Workers int
 	// Progress, when non-nil, is called after every completed cell with
 	// (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -106,20 +103,9 @@ type CongestionShiftSummary struct {
 	ShiftPct float64
 }
 
-// CongestionShiftSweep runs the E20 grid with all available cores.
-func CongestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
-	opt.Workers = 0
-	return congestionShiftSweep(opt, seed)
-}
-
-// CongestionShiftSweepWorkers is CongestionShiftSweep with an explicit
-// worker count (each (pattern, rate) cell is one parallel job).
+// CongestionShiftSweepWorkers runs the E20 grid on workers parallel
+// workers (< 1 means GOMAXPROCS); each (pattern, rate) cell is one job.
 func CongestionShiftSweepWorkers(opt CongestionShiftOptions, seed uint64, workers int) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
-	opt.Workers = workers
-	return congestionShiftSweep(opt, seed)
-}
-
-func congestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]CongestionShiftRow, []CongestionShiftSummary, error) {
 	sopt := SaturationOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda,
 		Routers:  []string{"limited", "congested"},
@@ -140,19 +126,16 @@ func congestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]Congestion
 	// One job per (pattern, rate) cell, pattern-major. Both routers replay
 	// the cell's scenario from value copies of the same stream state, so
 	// the fault schedule and the offered traffic are byte-identical.
-	jobs := len(opt.Patterns) * len(opt.Rates)
-	rngs := splitN(seed, jobs)
-	rows := make([]CongestionShiftRow, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	err = par.ForState(opt.Workers, jobs, newSimPool, func(p *simPool, j int) error {
+	ctl := sweepControl[CongestionShiftRow]{workers: workers, progress: opt.Progress}
+	rows, err := runCells(ctl, seed, len(opt.Patterns)*len(opt.Rates), func(p *simPool, j int, r *rng.Source) (CongestionShiftRow, error) {
 		pattern := opt.Patterns[j/len(opt.Rates)]
 		rate := opt.Rates[j%len(opt.Rates)]
 		row := CongestionShiftRow{Dims: shape.String(), Pattern: pattern, OfferedRate: rate}
 		for _, router := range sopt.Routers {
-			stream := *rngs[j] // identical replay for both routers
+			stream := *r // identical replay for both routers
 			pt, err := p.loadPoint(sopt, workload{pattern: pattern, rate: rate}, router, &stream)
 			if err != nil {
-				return err
+				return row, err
 			}
 			if router == "limited" {
 				row.LimitedAccepted = pt.AcceptedRate
@@ -168,9 +151,7 @@ func congestionShiftSweep(opt CongestionShiftOptions, seed uint64) ([]Congestion
 				row.CongestedLatP99 = pt.Latency.P99
 			}
 		}
-		rows[j] = row
-		progress()
-		return nil
+		return row, nil
 	})
 	if err != nil {
 		return nil, nil, err

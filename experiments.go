@@ -18,9 +18,9 @@ package ndmesh
 // writes only its own result slot, and (c) aggregation — including
 // order-sensitive floating-point accumulation — happens serially in trial
 // order after all workers finish. experiments_parallel_test.go asserts the
-// guarantee for every sweep. The plain sweep functions use all available
-// cores; the *Workers variants take an explicit worker count (values < 1
-// mean GOMAXPROCS).
+// guarantee for every sweep. Every sweep runs its cells through one loop,
+// runCells, and has one entry point, XSweepWorkers, whose last argument is
+// the worker count (values < 1 mean GOMAXPROCS).
 //
 // Each worker reuses one Simulation per (mesh shape, λ) across all the
 // trials it claims — Simulation.Reset rewinds mesh, protocols, store and
@@ -29,6 +29,7 @@ package ndmesh
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"ndmesh/internal/detour"
 	"ndmesh/internal/engine"
@@ -97,15 +98,65 @@ func setSchedule(sim *Simulation, sched *fault.Schedule) {
 	s.Events = append(s.Events[:0], sched.Events...)
 }
 
-// splitN pre-draws n child rng streams from the sweep seed, in trial-index
-// order — the serial prelude that makes the parallel fan-out deterministic.
-func splitN(seed uint64, n int) []*rng.Source {
-	r := rng.New(seed)
-	out := make([]*rng.Source, n)
-	for i := range out {
-		out[i] = r.Split()
+// sweepControl is a sweep's fan-out width plus its optional hooks; runCells
+// interprets it. A nil hook costs nothing.
+type sweepControl[R any] struct {
+	workers int
+	// probed marks a sweep with a census probe attached. Probes are stateful
+	// accumulators, so such a sweep must be a single cell.
+	probed bool
+	// pool, when non-nil, is the shared warm-engine reservoir the workers
+	// draw simulations from and return them to when the fan-out ends.
+	pool *EnginePool
+	// cancel is polled before every cell; true aborts with ErrCanceled.
+	cancel func() bool
+	// emit receives (index, result) as each cell completes, from worker
+	// goroutines in completion order.
+	emit func(index int, res R)
+	// progress receives (done, total) after every completed cell; each done
+	// value from 1 to total arrives exactly once.
+	progress func(done, total int)
+}
+
+// runCells is the cell loop behind every sweep. It pre-draws one rng stream
+// per cell from the seed, in cell order (the serial prelude that makes the
+// fan-out deterministic), runs cell(p, j, stream) for every j in [0, jobs)
+// on par.ForState with a per-worker simPool, stores each result in its own
+// slot and returns the slots in cell order for serial aggregation.
+func runCells[R any](ctl sweepControl[R], seed uint64, jobs int, cell func(p *simPool, j int, r *rng.Source) (R, error)) ([]R, error) {
+	if ctl.probed && jobs > 1 {
+		return nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", jobs)
 	}
-	return out
+	r := rng.New(seed)
+	rngs := make([]*rng.Source, jobs)
+	for j := range rngs {
+		rngs[j] = r.Split()
+	}
+	out := make([]R, jobs)
+	var done atomic.Int64
+	co := ctl.pool.checkout()
+	defer co.release()
+	err := par.ForState(ctl.workers, jobs, co.worker, func(p *simPool, j int) error {
+		if ctl.cancel != nil && ctl.cancel() {
+			return ErrCanceled
+		}
+		res, err := cell(p, j, rngs[j])
+		if err != nil {
+			return err
+		}
+		out[j] = res
+		if ctl.emit != nil {
+			ctl.emit(j, res)
+		}
+		if ctl.progress != nil {
+			ctl.progress(int(done.Add(1)), jobs)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -126,24 +177,16 @@ type ConvergenceRow struct {
 	Records    int // total stored records after stabilization
 }
 
-// ConvergenceSweep grows one block fault-by-fault (clustered) in each of
-// the given shapes and reports per-occurrence convergence. The paper's
-// claim under test: information is collected and distributed quickly — the
-// rounds track the block perimeter, not the mesh size.
-func ConvergenceSweep(shapes [][]int, faultsPerShape int, seed uint64) ([]ConvergenceRow, error) {
-	return ConvergenceSweepWorkers(shapes, faultsPerShape, seed, 0)
-}
-
-// ConvergenceSweepWorkers is ConvergenceSweep with an explicit worker count
-// (each shape is one parallel job).
+// ConvergenceSweepWorkers grows one block fault-by-fault (clustered) in
+// each of the given shapes and reports per-occurrence convergence. The
+// paper's claim under test: information is collected and distributed
+// quickly — the rounds track the block perimeter, not the mesh size. Each
+// shape is one cell.
 func ConvergenceSweepWorkers(shapes [][]int, faultsPerShape int, seed uint64, workers int) ([]ConvergenceRow, error) {
-	rngs := splitN(seed, len(shapes))
-	results := make([][]ConvergenceRow, len(shapes))
-	err := par.ForState(workers, len(shapes), newSimPool, func(p *simPool, i int) error {
-		dims := shapes[i]
-		sim, err := p.get(dims, 1)
+	results, err := runCells(sweepControl[[]ConvergenceRow]{workers: workers}, seed, len(shapes), func(p *simPool, i int, r *rng.Source) ([]ConvergenceRow, error) {
+		sim, err := p.get(shapes[i], 1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		shape := sim.gridShape()
 		// Long, conforming intervals: each occurrence stabilizes fully.
@@ -152,14 +195,15 @@ func ConvergenceSweepWorkers(shapes [][]int, faultsPerShape int, seed uint64, wo
 			Interval:  interval,
 			Start:     2,
 			Clustered: true,
-		}, rngs[i])
+		}, r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		setSchedule(sim, sched)
 		sim.eng().Run((faultsPerShape + 2) * interval)
+		var rows []ConvergenceRow
 		for _, ev := range sim.events() {
-			results[i] = append(results[i], ConvergenceRow{
+			rows = append(rows, ConvergenceRow{
 				Dims:       shape.String(),
 				N:          shape.NumNodes(),
 				FaultIndex: ev.Index,
@@ -171,7 +215,7 @@ func ConvergenceSweepWorkers(shapes [][]int, faultsPerShape int, seed uint64, wo
 				Records:    ev.RecordsAfter,
 			})
 		}
-		return nil
+		return rows, nil
 	})
 	if err != nil {
 		return nil, err
@@ -207,9 +251,6 @@ type DegradationOptions struct {
 	Routers   []string
 	Trials    int
 	Lambda    int
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
-	// results are identical for every value (see the package comment).
-	Workers int
 }
 
 // DefaultDegradation returns the standard configuration: a 16x16 mesh,
@@ -226,13 +267,13 @@ func DefaultDegradation() DegradationOptions {
 	}
 }
 
-// DegradationSweep measures routing under dynamic faults: every trial draws
-// a source/destination pair and a fault schedule, and replays the identical
-// scenario under each router. The paper's claim under test: with limited
-// global information the routing degrades gracefully as intervals shrink,
-// tracking the oracle and far below the blind searcher. Trials run on the
-// parallel engine (opt.Workers wide).
-func DegradationSweep(opt DegradationOptions, seed uint64) ([]DegradationRow, error) {
+// DegradationSweepWorkers measures routing under dynamic faults: every
+// trial draws a source/destination pair and a fault schedule, and replays
+// the identical scenario under each router. The paper's claim under test:
+// with limited global information the routing degrades gracefully as
+// intervals shrink, tracking the oracle and far below the blind searcher.
+// Each (interval, trial) is one cell.
+func DegradationSweepWorkers(opt DegradationOptions, seed uint64, workers int) ([]DegradationRow, error) {
 	shape, err := grid.NewShape(opt.Dims...)
 	if err != nil {
 		return nil, err
@@ -240,12 +281,9 @@ func DegradationSweep(opt DegradationOptions, seed uint64) ([]DegradationRow, er
 	// One job per (interval, trial), in interval-major order — the order the
 	// serial loop visited them and the order the trial rngs are split in.
 	jobs := len(opt.Intervals) * opt.Trials
-	rngs := splitN(seed, jobs)
-	results := make([][]RouteResult, jobs)
-	err = par.ForState(opt.Workers, jobs, newSimPool, func(p *simPool, j int) error {
+	results, err := runCells(sweepControl[[]RouteResult]{workers: workers}, seed, jobs, func(p *simPool, j int, tr *rng.Source) ([]RouteResult, error) {
 		interval := opt.Intervals[j/opt.Trials]
 		trial := j % opt.Trials
-		tr := rngs[j]
 		src, dst := drawPair(shape, tr)
 		// Half the trials anchor the first fault on the route midpoint
 		// so the schedules actually intersect the traffic.
@@ -265,19 +303,18 @@ func DegradationSweep(opt DegradationOptions, seed uint64) ([]DegradationRow, er
 			genOpt.UseAnchor = false
 			sched, err = fault.Generate(shape, opt.Faults, genOpt, tr)
 			if err != nil {
-				return err
+				return nil, err
 			}
 		}
 		out := make([]RouteResult, len(opt.Routers))
 		for ri, router := range opt.Routers {
 			res, err := p.replay(opt.Dims, opt.Lambda, sched, src, dst, router)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			out[ri] = res
 		}
-		results[j] = out
-		return nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
@@ -411,18 +448,13 @@ type LambdaRow struct {
 	MeanBack   float64
 }
 
-// LambdaSweep injects messages at the same step faults start arriving and
-// varies λ. The expected shape: the limited router's detour falls toward
-// the oracle's as λ grows (information propagates faster relative to the
-// message), while the blind router is flat (it has no information to
-// receive) — the paper's "fault information can be distributed quickly to
-// help the routing process".
-func LambdaSweep(dims []int, lambdas []int, trials int, seed uint64) ([]LambdaRow, error) {
-	return LambdaSweepWorkers(dims, lambdas, trials, seed, 0)
-}
-
-// LambdaSweepWorkers is LambdaSweep with an explicit worker count (each
-// (λ, router, case) replay is one parallel job).
+// LambdaSweepWorkers injects messages at the same step faults start
+// arriving and varies λ. The expected shape: the limited router's detour
+// falls toward the oracle's as λ grows (information propagates faster
+// relative to the message), while the blind router is flat (it has no
+// information to receive) — the paper's "fault information can be
+// distributed quickly to help the routing process". Each (λ, router, case)
+// replay is one cell.
 func LambdaSweepWorkers(dims []int, lambdas []int, trials int, seed uint64, workers int) ([]LambdaRow, error) {
 	shape, err := grid.NewShape(dims...)
 	if err != nil {
@@ -468,21 +500,15 @@ func LambdaSweepWorkers(dims []int, lambdas []int, trials int, seed uint64, work
 		cases = append(cases, trialCase{src, dst, sched})
 	}
 
-	// Replays carry no randomness of their own: fan every (λ, router, case)
-	// combination out and aggregate in the serial loop's visit order.
+	// Replays carry no randomness of their own (the cell's stream goes
+	// unused): fan every (λ, router, case) combination out and aggregate in
+	// the serial loop's visit order.
 	jobs := len(lambdas) * len(routers) * len(cases)
-	results := make([]RouteResult, jobs)
-	err = par.ForState(workers, jobs, newSimPool, func(p *simPool, j int) error {
+	results, err := runCells(sweepControl[RouteResult]{workers: workers}, seed, jobs, func(p *simPool, j int, _ *rng.Source) (RouteResult, error) {
 		li := j / (len(routers) * len(cases))
 		ri := j / len(cases) % len(routers)
-		ci := j % len(cases)
-		tc := cases[ci]
-		res, err := p.replay(dims, lambdas[li], tc.sched, tc.src, tc.dst, routers[ri])
-		if err != nil {
-			return err
-		}
-		results[j] = res
-		return nil
+		tc := cases[j%len(cases)]
+		return p.replay(dims, lambdas[li], tc.sched, tc.src, tc.dst, routers[ri])
 	})
 	if err != nil {
 		return nil, err
@@ -529,24 +555,15 @@ type MemoryRow struct {
 	GlobalEntries int     // traditional: N entries per fault event
 }
 
-// MemorySweep stabilizes F scattered faults on each shape and reports the
-// information placement size.
-func MemorySweep(shapes [][]int, faults []int, seed uint64) ([]MemoryRow, error) {
-	return MemorySweepWorkers(shapes, faults, seed, 0)
-}
-
-// MemorySweepWorkers is MemorySweep with an explicit worker count (each
-// (shape, F) cell is one parallel job).
+// MemorySweepWorkers stabilizes F scattered faults on each shape and
+// reports the information placement size. Each (shape, F) pair is one cell.
 func MemorySweepWorkers(shapes [][]int, faults []int, seed uint64, workers int) ([]MemoryRow, error) {
-	jobs := len(shapes) * len(faults)
-	rngs := splitN(seed, jobs)
-	rows := make([]MemoryRow, jobs)
-	err := par.ForState(workers, jobs, newSimPool, func(p *simPool, j int) error {
+	return runCells(sweepControl[MemoryRow]{workers: workers}, seed, len(shapes)*len(faults), func(p *simPool, j int, r *rng.Source) (MemoryRow, error) {
 		dims := shapes[j/len(faults)]
 		f := faults[j%len(faults)]
 		sim, err := p.get(dims, 1)
 		if err != nil {
-			return err
+			return MemoryRow{}, err
 		}
 		shape := sim.gridShape()
 		// Spacing adapts to the interior width so the constraint stays
@@ -561,9 +578,9 @@ func MemorySweepWorkers(shapes [][]int, faults []int, seed uint64, workers int) 
 		if spacing < 2 {
 			spacing = 2
 		}
-		sched, err := fault.Generate(shape, f, fault.Options{MinSpacing: spacing}, rngs[j])
+		sched, err := fault.Generate(shape, f, fault.Options{MinSpacing: spacing}, r)
 		if err != nil {
-			return err
+			return MemoryRow{}, err
 		}
 		sched.Apply(sim.fabric())
 		// Seed everything at once and stabilize.
@@ -572,7 +589,7 @@ func MemorySweepWorkers(shapes [][]int, faults []int, seed uint64, workers int) 
 			sim.coreModel().Detector.Seed(ev.Node)
 		}
 		sim.Stabilize()
-		rows[j] = MemoryRow{
+		return MemoryRow{
 			Dims:          shape.String(),
 			N:             shape.NumNodes(),
 			Faults:        f,
@@ -580,13 +597,8 @@ func MemorySweepWorkers(shapes [][]int, faults []int, seed uint64, workers int) 
 			NodesWithInfo: sim.NodesWithInfo(),
 			NodePct:       100 * float64(sim.NodesWithInfo()) / float64(shape.NumNodes()),
 			GlobalEntries: shape.NumNodes() * f,
-		}
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -603,42 +615,35 @@ type OscillationRow struct {
 	MaxARounds      int
 }
 
-// OscillationSweep injects clustered fault bursts at varying intervals and
-// measures the labeling churn per occurrence. The paper's claim under test:
-// the update converges quickly and only affected nodes update (reduced
-// oscillation compared to routing-table flooding).
-func OscillationSweep(dims []int, faults int, intervals []int, trials int, seed uint64) ([]OscillationRow, error) {
-	return OscillationSweepWorkers(dims, faults, intervals, trials, seed, 0)
-}
-
-// OscillationSweepWorkers is OscillationSweep with an explicit worker count
-// (each (interval, trial) run is one parallel job).
+// OscillationSweepWorkers injects clustered fault bursts at varying
+// intervals and measures the labeling churn per occurrence. The paper's
+// claim under test: the update converges quickly and only affected nodes
+// update (reduced oscillation compared to routing-table flooding). Each
+// (interval, trial) run is one cell.
 func OscillationSweepWorkers(dims []int, faults int, intervals []int, trials int, seed uint64, workers int) ([]OscillationRow, error) {
 	type evStat struct{ affected, arounds int }
-	jobs := len(intervals) * trials
-	rngs := splitN(seed, jobs)
-	results := make([][]evStat, jobs)
-	err := par.ForState(workers, jobs, newSimPool, func(p *simPool, j int) error {
+	results, err := runCells(sweepControl[[]evStat]{workers: workers}, seed, len(intervals)*trials, func(p *simPool, j int, r *rng.Source) ([]evStat, error) {
 		interval := intervals[j/trials]
 		sim, err := p.get(dims, 1)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		shape := sim.gridShape()
 		sched, err := fault.Generate(shape, faults, fault.Options{
 			Interval:  interval,
 			Start:     2,
 			Clustered: true,
-		}, rngs[j])
+		}, r)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		setSchedule(sim, sched)
 		sim.eng().Run(faults*interval + 10*shape.Diameter() + 100)
+		var evs []evStat
 		for _, ev := range sim.events() {
-			results[j] = append(results[j], evStat{ev.Affected, ev.ARounds})
+			evs = append(evs, evStat{ev.Affected, ev.ARounds})
 		}
-		return nil
+		return evs, nil
 	})
 	if err != nil {
 		return nil, err
@@ -685,14 +690,9 @@ type TrafficRow struct {
 	MaxSteps   int
 }
 
-// TrafficSweep injects many messages with random endpoints into one
-// dynamic-fault scenario per router and reports population metrics.
-func TrafficSweep(dims []int, messages int, faults int, interval int, seed uint64) ([]TrafficRow, error) {
-	return TrafficSweepWorkers(dims, messages, faults, interval, seed, 0)
-}
-
-// TrafficSweepWorkers is TrafficSweep with an explicit worker count (each
-// router's population run is one parallel job).
+// TrafficSweepWorkers injects many messages with random endpoints into one
+// dynamic-fault scenario per router and reports population metrics. Each
+// router's population run is one cell.
 func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, seed uint64, workers int) ([]TrafficRow, error) {
 	shape, err := grid.NewShape(dims...)
 	if err != nil {
@@ -722,23 +722,24 @@ func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, see
 		return nil, err
 	}
 	routers := []string{"limited", "oracle", "blind"}
-	rows := make([]TrafficRow, len(routers))
-	err = par.ForState(workers, len(routers), newSimPool, func(p *simPool, j int) error {
+	// The cell's stream goes unused: every router replays the prelude's
+	// endpoints and schedule.
+	return runCells(sweepControl[TrafficRow]{workers: workers}, seed, len(routers), func(p *simPool, j int, _ *rng.Source) (TrafficRow, error) {
 		router := routers[j]
 		sim, err := p.get(dims, 2)
 		if err != nil {
-			return err
+			return TrafficRow{}, err
 		}
 		setSchedule(sim, sched)
 		var flights []*engine.Flight
 		for _, pr := range pairs {
 			rt, err := route.ByName(router)
 			if err != nil {
-				return err
+				return TrafficRow{}, err
 			}
 			fl, err := sim.eng().Inject(pr.src, pr.dst, rt)
 			if err != nil {
-				return err
+				return TrafficRow{}, err
 			}
 			flights = append(flights, fl)
 		}
@@ -760,13 +761,8 @@ func TrafficSweepWorkers(dims []int, messages int, faults int, interval int, see
 		}
 		row.ArrivedPct = 100 * float64(arrived) / float64(messages)
 		row.MeanExtra = extra.Mean()
-		rows[j] = row
-		return nil
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -809,23 +805,16 @@ type theoremTrial struct {
 	hasBound        bool
 }
 
-// TheoremSweep runs randomized conforming dynamic-fault scenarios and
-// checks every measured trace against Theorems 3, 4 and 5.
-func TheoremSweep(dims []int, trials int, seed uint64) (TheoremReport, error) {
-	return TheoremSweepWorkers(dims, trials, seed, 0)
-}
-
-// TheoremSweepWorkers is TheoremSweep with an explicit worker count (each
-// trial is one parallel job).
+// TheoremSweepWorkers runs randomized conforming dynamic-fault scenarios
+// and checks every measured trace against Theorems 3, 4 and 5. Each trial
+// is one cell.
 func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (TheoremReport, error) {
 	rep := TheoremReport{Trials: trials}
-	rngs := splitN(seed, trials)
-	results := make([]theoremTrial, trials)
-	err := par.ForState(workers, trials, newSimPool, func(p *simPool, trial int) error {
-		rr := rngs[trial]
+	results, err := runCells(sweepControl[theoremTrial]{workers: workers}, seed, trials, func(p *simPool, _ int, rr *rng.Source) (theoremTrial, error) {
+		var res theoremTrial
 		sim, err := p.get(dims, 2)
 		if err != nil {
-			return err
+			return res, err
 		}
 		shape := sim.gridShape()
 		src, dst := drawPair(shape, rr)
@@ -842,21 +831,19 @@ func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (Theo
 			MinSpacing:    4,
 		}, rr)
 		if err != nil {
-			return err
+			return res, err
 		}
 		setSchedule(sim, sched)
 		// Run until just after occurrence p, then inject.
 		injectAt := 2 + preFaults*interval - interval/2
 		sim.RunSteps(injectAt)
-		var res theoremTrial
 		unsafePath, hasPath := 0, true
 		if !sim.SourceSafe(sim.CoordOf(src), sim.CoordOf(dst)) {
 			res.unsafeSrc = true
 			unsafePath, hasPath = safety.PathExists(sim.fabric(), src, dst)
 			if !hasPath {
 				res.noPath = true
-				results[trial] = res
-				return nil // outside every theorem's premise
+				return res, nil // outside every theorem's premise
 			}
 		} else {
 			res.safe = true
@@ -866,14 +853,13 @@ func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (Theo
 			// pre-injection faults only; skip the bounds otherwise.
 			if !p.staticallyMinimal(dims, sched, preFaults, src, dst) {
 				res.premiseSkipped = true
-				results[trial] = res
-				return nil
+				return res, nil
 			}
 		}
 		rtr := route.Limited{}
 		fl, err := sim.eng().Inject(src, dst, rtr)
 		if err != nil {
-			return err
+			return res, err
 		}
 		sim.eng().RunFlights(40*shape.Diameter() + faults*interval)
 
@@ -892,8 +878,7 @@ func TheoremSweepWorkers(dims []int, trials int, seed uint64, workers int) (Theo
 			k := detour.KBound(unsafePath, tr.Start, ivs)
 			res.bound, res.hasBound = detour.MaxDetourBound(k, ivs), true
 		}
-		results[trial] = res
-		return nil
+		return res, nil
 	})
 	if err != nil {
 		return rep, err

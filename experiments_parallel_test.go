@@ -33,14 +33,12 @@ func TestParallelDegradationSweepDeterministic(t *testing.T) {
 	opt.Dims = []int{12, 12}
 	opt.Trials = 4
 	opt.Intervals = []int{4, 32}
-	opt.Workers = 1
-	serial, err := DegradationSweep(opt, 7)
+	serial, err := DegradationSweepWorkers(opt, 7, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, w := range parWorkerCounts {
-		opt.Workers = w
-		got, err := DegradationSweep(opt, 7)
+		got, err := DegradationSweepWorkers(opt, 7, w)
 		if err != nil {
 			t.Fatal(err)
 		}

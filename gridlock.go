@@ -35,7 +35,7 @@ import (
 	"fmt"
 
 	"ndmesh/internal/grid"
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
 
@@ -76,9 +76,6 @@ type GridlockOptions struct {
 	FlightTimeout, RetryBackoff, GridlockWindow int
 	// Congestion tunes the "congested" router when Router selects it.
 	Congestion route.CongestionConfig
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
-	// rows are byte-identical at every value.
-	Workers int
 	// Progress, when non-nil, is called after every completed scenario
 	// cell (all its mechanism arms) with (done, total); must be safe for
 	// concurrent use.
@@ -143,19 +140,6 @@ type GridlockRow struct {
 	LatP50, LatP99                int
 }
 
-// GridlockSweep runs the E22 phase diagram with all available cores.
-func GridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
-	opt.Workers = 0
-	return gridlockSweep(opt, seed)
-}
-
-// GridlockSweepWorkers is GridlockSweep with an explicit worker count (each
-// scenario cell — all its mechanism arms — is one parallel job).
-func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]GridlockRow, error) {
-	opt.Workers = workers
-	return gridlockSweep(opt, seed)
-}
-
 // gridlockMechanism resolves a mechanism name to its (timeout, bubble)
 // switches.
 func gridlockMechanism(name string) (timeout, bubble bool, err error) {
@@ -172,7 +156,10 @@ func gridlockMechanism(name string) (timeout, bubble bool, err error) {
 	return false, false, fmt.Errorf("ndmesh: unknown escape mechanism %q (want none|retry|bubble|retry+bubble)", name)
 }
 
-func gridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
+// GridlockSweepWorkers runs the E22 phase diagram on workers parallel
+// workers (< 1 means GOMAXPROCS); each scenario cell — all its mechanism
+// arms — is one job.
+func GridlockSweepWorkers(opt GridlockOptions, seed uint64, workers int) ([]GridlockRow, error) {
 	if opt.Router == "" {
 		opt.Router = "limited"
 	}
@@ -210,61 +197,52 @@ func gridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Validate the shared run shape once against a representative arm.
-	probe := SaturationOptions{
+	// Validate the shared run shape once; every arm runs a copy of base
+	// with its cell's capacity and faults and its mechanism's switches.
+	base := SaturationOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda,
 		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
 		LinkRate: opt.LinkRate, NodeCapacity: opt.Capacities[0],
+		Congestion:    opt.Congestion,
+		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
+		GridlockWindow: opt.GridlockWindow,
+		FaultInterval:  opt.FaultInterval, Clustered: opt.Clustered,
 	}
-	if err := validateLoadShape(&probe); err != nil {
+	if err := validateLoadShape(&base); err != nil {
 		return nil, err
 	}
-	opt.Lambda, opt.LinkRate = probe.Lambda, probe.LinkRate
 
 	// One job per scenario cell (pattern-major, then window, capacity,
 	// faults); the mechanism arms run inside the job from value copies of
 	// the cell's stream state, so all arms face the identical scenario.
-	nw, nc, nf, nm := len(opt.Windows), len(opt.Capacities), len(opt.FaultCounts), len(opt.Mechanisms)
+	nw, nc, nf := len(opt.Windows), len(opt.Capacities), len(opt.FaultCounts)
 	jobs := len(opt.Patterns) * nw * nc * nf
-	rngs := splitN(seed, jobs)
-	rows := make([]GridlockRow, jobs*nm)
-	progress := progressCounter(opt.Progress, jobs)
-	err = par.ForState(opt.Workers, jobs, newSimPool, func(p *simPool, j int) error {
+	ctl := sweepControl[[]GridlockRow]{workers: workers, progress: opt.Progress}
+	cells, err := runCells(ctl, seed, jobs, func(p *simPool, j int, r *rng.Source) ([]GridlockRow, error) {
 		pattern := opt.Patterns[j/(nw*nc*nf)]
 		window := opt.Windows[j/(nc*nf)%nw]
-		capacity := opt.Capacities[j/nf%nc]
-		faults := opt.FaultCounts[j%nf]
+		arms := make([]GridlockRow, len(opt.Mechanisms))
 		for mi, mech := range opt.Mechanisms {
-			timeout, bubble, err := gridlockMechanism(mech)
-			if err != nil {
-				return err
+			timeout, bubble, _ := gridlockMechanism(mech) // validated above
+			sopt := base
+			sopt.NodeCapacity = opt.Capacities[j/nf%nc]
+			sopt.Faults = opt.FaultCounts[j%nf]
+			sopt.Bubble = bubble
+			if !timeout {
+				sopt.FlightTimeout, sopt.RetryBackoff = 0, 0
 			}
-			sopt := SaturationOptions{
-				Dims: opt.Dims, Lambda: opt.Lambda,
-				Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
-				LinkRate: opt.LinkRate, NodeCapacity: capacity,
-				Congestion:     opt.Congestion,
-				GridlockWindow: opt.GridlockWindow,
-				Bubble:         bubble,
-				Faults:         faults, FaultInterval: opt.FaultInterval,
-				Clustered: opt.Clustered,
-			}
-			if timeout {
-				sopt.FlightTimeout = opt.FlightTimeout
-				sopt.RetryBackoff = opt.RetryBackoff
-			}
-			stream := *rngs[j] // identical scenario for every arm
+			stream := *r // identical scenario for every arm
 			pt, err := p.loadPoint(sopt, workload{pattern: pattern, window: window}, opt.Router, &stream)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			rows[j*nm+mi] = GridlockRow{
+			arms[mi] = GridlockRow{
 				Dims:          shape.String(),
 				Pattern:       pattern,
 				Router:        opt.Router,
 				Window:        window,
-				Capacity:      capacity,
-				Faults:        faults,
+				Capacity:      sopt.NodeCapacity,
+				Faults:        sopt.Faults,
 				Mechanism:     mech,
 				Gridlocked:    pt.Gridlocked,
 				GridlockStep:  pt.GridlockStep,
@@ -281,11 +259,14 @@ func gridlockSweep(opt GridlockOptions, seed uint64) ([]GridlockRow, error) {
 				LatP99:        pt.Latency.P99,
 			}
 		}
-		progress()
-		return nil
+		return arms, nil
 	})
 	if err != nil {
 		return nil, err
+	}
+	rows := make([]GridlockRow, 0, jobs*len(opt.Mechanisms))
+	for _, arms := range cells {
+		rows = append(rows, arms...)
 	}
 	return rows, nil
 }

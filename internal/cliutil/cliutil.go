@@ -6,6 +6,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -70,13 +71,15 @@ func ParseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// ParseRates parses a comma-separated list of positive rates.
+// ParseRates parses a comma-separated list of positive finite rates.
+// strconv accepts "NaN" and "Inf", and NaN passes a plain v <= 0 test, so
+// both are rejected explicitly.
 func ParseRates(s string) ([]float64, error) {
 	var rates []float64
 	for _, p := range SplitList(s) {
 		v, err := strconv.ParseFloat(p, 64)
-		if err != nil || v <= 0 {
-			return nil, fmt.Errorf("bad rate %q (need a positive number)", p)
+		if err != nil || !(v > 0) || math.IsInf(v, 1) {
+			return nil, fmt.Errorf("bad rate %q (need a positive finite number)", p)
 		}
 		rates = append(rates, v)
 	}

@@ -363,7 +363,6 @@ func (s *Spec) saturationOptions() ndmesh.SaturationOptions {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Workers: s.Workers,
 	}
 }
 
@@ -380,7 +379,6 @@ func (s *Spec) closedLoopOptions() ndmesh.ClosedLoopOptions {
 		Clustered: s.Clustered, FaultStart: s.FaultStart,
 		FaultRate: s.FaultRate, FaultModel: s.FaultModel,
 		FaultShape: s.FaultShape, FaultRepair: s.FaultRepair,
-		Workers: s.Workers,
 	}
 }
 
@@ -396,7 +394,6 @@ func (s *Spec) reliabilityOptions() ndmesh.ReliabilityOptions {
 		LinkRate: s.LinkRate, NodeCapacity: s.NodeCapacity,
 		FlightTimeout: s.FlightTimeout, RetryBackoff: s.RetryBackoff,
 		Bubble: s.Bubble, GridlockWindow: s.GridlockWindow,
-		Workers: s.Workers,
 	}
 }
 

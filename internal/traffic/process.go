@@ -73,9 +73,12 @@ func (*Poisson) Name() string { return "poisson" }
 // Reset implements Process.
 func (*Poisson) Reset(int) {}
 
-// MaxRate implements Process: Poisson arrivals batch, so any rate is
-// offered faithfully.
-func (*Poisson) MaxRate() float64 { return math.Inf(1) }
+// MaxRate implements Process: Poisson arrivals batch, so rates above 1
+// are fine, but not without bound. Arrivals compares a product of uniforms
+// against exp(-rate), which leaves the normal float64 range near rate 708
+// and underflows to 0 near 745; larger rates plateau at about 745 arrivals
+// per node-step.
+func (*Poisson) MaxRate() float64 { return 700 }
 
 // Arrivals implements Process — Knuth's product-of-uniforms sampler, exact
 // for the moderate rates load sweeps use.

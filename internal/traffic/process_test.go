@@ -91,7 +91,7 @@ func TestProcessZeroRate(t *testing.T) {
 // TestProcessAtMaxRate pins the upper boundary: offered load at the
 // process's own MaxRate realizes that rate (Bernoulli degenerates to one
 // arrival every step; bursty to one arrival every ON step, i.e. the duty
-// cycle).
+// cycle; Poisson stays exact up to its underflow bound).
 func TestProcessAtMaxRate(t *testing.T) {
 	// Bernoulli at MaxRate 1 is deterministic: exactly one per node-step.
 	b := &Bernoulli{}
@@ -105,6 +105,14 @@ func TestProcessAtMaxRate(t *testing.T) {
 	if math.Abs(got-bu.MaxRate()) > 0.02 {
 		t.Errorf("bursty at max rate %v realized %v", bu.MaxRate(), got)
 	}
+	// Poisson at MaxRate is still below the sampler's underflow plateau, so
+	// it realizes the rate within 5 sigma (sigma = sqrt(rate/samples)).
+	po := &Poisson{}
+	const samples = 16 * 200
+	got = empiricalRate(po, 16, 200, po.MaxRate(), rng.New(5))
+	if tol := 5 * math.Sqrt(po.MaxRate()/samples); math.Abs(got-po.MaxRate()) > tol {
+		t.Errorf("poisson at max rate %v realized %v (tol %v)", po.MaxRate(), got, tol)
+	}
 }
 
 // TestProcessMaxRateValues pins the cap formulas themselves.
@@ -112,8 +120,8 @@ func TestProcessMaxRateValues(t *testing.T) {
 	if got := (&Bernoulli{}).MaxRate(); got != 1 {
 		t.Errorf("bernoulli MaxRate = %v, want 1", got)
 	}
-	if got := (&Poisson{}).MaxRate(); !math.IsInf(got, 1) {
-		t.Errorf("poisson MaxRate = %v, want +Inf", got)
+	if got := (&Poisson{}).MaxRate(); got != 700 {
+		t.Errorf("poisson MaxRate = %v, want 700 (exp(-rate) underflows past it)", got)
 	}
 	if got := NewBursty(8, 24).MaxRate(); got != 0.25 {
 		t.Errorf("bursty(8,24) MaxRate = %v, want 0.25", got)

@@ -14,9 +14,9 @@ package ndmesh
 //
 // The pool threads into the sweeps through the Pool field of
 // SaturationOptions / ClosedLoopOptions / ReliabilityOptions / LoadOptions:
-// each sweep checks out per-worker simPools bound to the shared reservoir
-// and releases every drawn simulation back when the fan-out finishes
-// (success, error or cancellation alike).
+// runCells (and LoadRun) checks out per-worker simPools bound to the shared
+// reservoir and releases every drawn simulation back when the fan-out
+// finishes (success, error or cancellation alike).
 
 import (
 	"errors"
@@ -156,9 +156,9 @@ func (p *EnginePool) VerifyClean() error {
 // checkout opens a sweep-scoped view of the pool: each sweep worker gets
 // its own simPool bound to the shared reservoir, and release returns every
 // drawn simulation when the sweep's fan-out finishes. A nil receiver
-// yields a no-op checkout whose workers build private simulations — the
-// sweeps call this unconditionally, so the pooled and unpooled paths share
-// one code shape.
+// yields a no-op checkout whose workers build private simulations —
+// runCells and LoadRun call this unconditionally, so the pooled and
+// unpooled paths share one code shape.
 func (p *EnginePool) checkout() *poolCheckout {
 	return &poolCheckout{shared: p}
 }

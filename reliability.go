@@ -23,7 +23,7 @@ import (
 	"sync/atomic"
 
 	"ndmesh/internal/grid"
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/traffic"
 )
@@ -64,9 +64,6 @@ type ReliabilityOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	// Workers is the parallel fan-out width (< 1 means GOMAXPROCS); the
-	// rows are byte-identical at every value.
-	Workers int
 	// Progress, when non-nil, is called after every completed trial with
 	// (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -142,35 +139,18 @@ type ReliabilityRow struct {
 	LatMax                 int
 }
 
-// ReliabilitySweep runs the E23 reliability grid with all available cores.
-func ReliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, error) {
-	opt.Workers = 0
-	return reliabilitySweep(opt, seed)
-}
-
-// ReliabilitySweepWorkers is ReliabilitySweep with an explicit worker
-// count (each Monte-Carlo trial is one parallel job).
+// ReliabilitySweepWorkers runs the E23 reliability grid on workers
+// parallel workers (< 1 means GOMAXPROCS); each Monte-Carlo trial is one
+// job.
 func ReliabilitySweepWorkers(opt ReliabilityOptions, seed uint64, workers int) ([]ReliabilityRow, error) {
-	opt.Workers = workers
-	return reliabilitySweep(opt, seed)
-}
-
-func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, error) {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.FaultRates) == 0 {
 		return nil, fmt.Errorf("ndmesh: reliability sweep needs at least one router, pattern and fault rate")
 	}
 	if opt.Trials < 1 {
 		return nil, fmt.Errorf("ndmesh: reliability sweep needs Trials >= 1 (got %d)", opt.Trials)
 	}
-	if opt.Rate <= 0 {
-		return nil, fmt.Errorf("ndmesh: reliability sweep needs an open-loop rate > 0")
-	}
-	proc, err := traffic.ProcessByName(opt.Process)
-	if err != nil {
+	if err := checkRate(opt.Process, opt.Rate); err != nil {
 		return nil, err
-	}
-	if max := proc.MaxRate(); opt.Rate > max {
-		return nil, fmt.Errorf("ndmesh: rate %v exceeds what the %s process can offer (max %v msgs/node/step)", opt.Rate, proc.Name(), max)
 	}
 	maxRate := 0.0
 	for _, fr := range opt.FaultRates {
@@ -182,23 +162,24 @@ func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, er
 		}
 	}
 	// Validate (and default) the shared run shape and the fault-process
-	// parameters once against a representative cell, then copy the
-	// defaulted values back so every cell runs the identical configuration.
-	probe := SaturationOptions{
+	// parameters once, at the grid's highest fault rate; every trial runs a
+	// copy of base with its own cell's fault rate.
+	base := SaturationOptions{
 		Dims: opt.Dims, Lambda: opt.Lambda,
-		Warmup: opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
+		Process: opt.Process,
+		Warmup:  opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
 		LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
+		Congestion:    opt.Congestion,
 		FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
 		Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
 		FaultRate: maxRate, FaultModel: opt.FaultModel,
 		FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
 		Clustered: opt.Clustered,
+		Cancel:    opt.Cancel,
 	}
-	if err := validateLoadShape(&probe); err != nil {
+	if err := validateLoadShape(&base); err != nil {
 		return nil, err
 	}
-	opt.Lambda, opt.LinkRate = probe.Lambda, probe.LinkRate
-	opt.FaultModel, opt.FaultShape = probe.FaultModel, probe.FaultShape
 	shape, err := grid.NewShape(opt.Dims...)
 	if err != nil {
 		return nil, err
@@ -209,53 +190,31 @@ func reliabilitySweep(opt ReliabilityOptions, seed uint64) ([]ReliabilityRow, er
 	nf, nk, nt := len(opt.FaultRates), len(opt.Routers), opt.Trials
 	cells := len(opt.Patterns) * nf * nk
 	jobs := cells * nt
-	rngs := splitN(seed, jobs)
-	pts := make([]traffic.LoadPoint, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	// With a streaming hook, each cell's fold runs as soon as its last
-	// trial lands: the countdown's atomic decrement orders every trial's
-	// pts write before the fold that reads them, and the fold itself is
-	// the same deterministic serial pass over pts that builds the
-	// returned slice — which worker triggers it cannot reach the row.
-	var remaining []int32
+	ctl := sweepControl[traffic.LoadPoint]{workers: workers,
+		pool: opt.Pool, cancel: opt.Cancel, progress: opt.Progress}
 	if opt.Emit != nil {
-		remaining = make([]int32, cells)
+		// Each cell's fold runs as soon as its last trial lands: the
+		// countdown's atomic decrement orders every trial's landed write
+		// before the fold that reads them, and the fold itself is the same
+		// deterministic serial pass over the trials that builds the
+		// returned slice — which worker triggers it cannot reach the row.
+		landed := make([]traffic.LoadPoint, jobs)
+		remaining := make([]int32, cells)
 		for c := range remaining {
 			remaining[c] = int32(nt)
 		}
+		ctl.emit = func(j int, pt traffic.LoadPoint) {
+			landed[j] = pt
+			if cell := j / nt; atomic.AddInt32(&remaining[cell], -1) == 0 {
+				opt.Emit(cell, foldReliabilityCell(&opt, shape, landed, cell, nf, nk, nt))
+			}
+		}
 	}
-	co := opt.Pool.checkout()
-	defer co.release()
-	err = par.ForState(opt.Workers, jobs, co.worker, func(p *simPool, j int) error {
-		if opt.Cancel != nil && opt.Cancel() {
-			return ErrCanceled
-		}
+	pts, err := runCells(ctl, seed, jobs, func(p *simPool, j int, r *rng.Source) (traffic.LoadPoint, error) {
 		cell := j / nt
-		pattern := opt.Patterns[cell/(nf*nk)]
-		faultRate := opt.FaultRates[cell/nk%nf]
-		sopt := SaturationOptions{
-			Dims: opt.Dims, Lambda: opt.Lambda,
-			Process: opt.Process,
-			Warmup:  opt.Warmup, Measure: opt.Measure, Drain: opt.Drain,
-			LinkRate: opt.LinkRate, NodeCapacity: opt.NodeCapacity,
-			Congestion:    opt.Congestion,
-			FlightTimeout: opt.FlightTimeout, RetryBackoff: opt.RetryBackoff,
-			Bubble: opt.Bubble, GridlockWindow: opt.GridlockWindow,
-			FaultRate: faultRate, FaultModel: opt.FaultModel,
-			FaultShape: opt.FaultShape, FaultRepair: opt.FaultRepair,
-			Clustered: opt.Clustered,
-			Cancel:    opt.Cancel,
-		}
-		pt, err := p.loadPoint(sopt, workload{pattern: pattern, rate: opt.Rate}, opt.Routers[cell%nk], rngs[j])
-		if err != nil {
-			return err
-		}
-		pts[j] = pt
-		if opt.Emit != nil && atomic.AddInt32(&remaining[cell], -1) == 0 {
-			opt.Emit(cell, foldReliabilityCell(&opt, shape, pts, cell, nf, nk, nt))
-		}
-		progress()
-		return nil
+		sopt := base
+		sopt.FaultRate = opt.FaultRates[cell/nk%nf]
+		return p.loadPoint(sopt, workload{pattern: opt.Patterns[cell/(nf*nk)], rate: opt.Rate}, opt.Routers[cell%nk], r)
 	})
 	if err != nil {
 		return nil, err

@@ -80,7 +80,7 @@ func TestGoldenReliabilitySweep(t *testing.T) {
 // cannot improve the delivered fraction.
 func TestReliabilityCurveDegradesWithRate(t *testing.T) {
 	opt := smallReliability()
-	rows, err := ReliabilitySweep(opt, 11)
+	rows, err := ReliabilitySweepWorkers(opt, 11, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,6 +167,9 @@ func TestReliabilitySweepValidation(t *testing.T) {
 		"repair below 1":   func(o *ReliabilityOptions) { o.FaultRepair = 0.5 },
 		"unknown process":  func(o *ReliabilityOptions) { o.Process = "warp" },
 		"rate beyond proc": func(o *ReliabilityOptions) { o.Rate = 1.5 },
+		"NaN rate":         func(o *ReliabilityOptions) { o.Rate = math.NaN() },
+		"Inf rate":         func(o *ReliabilityOptions) { o.Process, o.Rate = "poisson", math.Inf(1) },
+		"poisson past max": func(o *ReliabilityOptions) { o.Process, o.Rate = "poisson", 1000 },
 		"NaN fault rate":   func(o *ReliabilityOptions) { o.FaultRates = []float64{0, math.NaN()} },
 		"Inf fault rate":   func(o *ReliabilityOptions) { o.FaultRates = []float64{math.Inf(1)} },
 		"NaN repair":       func(o *ReliabilityOptions) { o.FaultRepair = math.NaN() },
@@ -175,7 +178,7 @@ func TestReliabilitySweepValidation(t *testing.T) {
 	} {
 		opt := base
 		mutate(&opt)
-		if _, err := reliabilitySweep(opt, 1); err == nil {
+		if _, err := ReliabilitySweepWorkers(opt, 1, 0); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}

@@ -21,7 +21,7 @@ package ndmesh
 import (
 	"fmt"
 
-	"ndmesh/internal/par"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/traffic"
 )
@@ -46,9 +46,6 @@ type ReplayCompareOptions struct {
 	FlightTimeout, RetryBackoff int
 	Bubble                      bool
 	GridlockWindow              int
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
-	// rows are byte-identical at every value.
-	Workers int
 	// Progress, when non-nil, is called after every completed router arm
 	// with (done, total); must be safe for concurrent use.
 	Progress func(done, total int)
@@ -60,21 +57,10 @@ type ReplayCompareRow struct {
 	Point  traffic.LoadPoint
 }
 
-// ReplayCompareSweep replays one trace across every router with all
-// available cores.
-func ReplayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareRow, error) {
-	opt.Workers = 0
-	return replayCompareSweep(opt, seed)
-}
-
-// ReplayCompareSweepWorkers is ReplayCompareSweep with an explicit worker
-// count (each router arm is one parallel job).
+// ReplayCompareSweepWorkers replays one trace across every router on
+// workers parallel workers (< 1 means GOMAXPROCS); each router arm is one
+// job.
 func ReplayCompareSweepWorkers(opt ReplayCompareOptions, seed uint64, workers int) ([]ReplayCompareRow, error) {
-	opt.Workers = workers
-	return replayCompareSweep(opt, seed)
-}
-
-func replayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareRow, error) {
 	if opt.Trace == nil {
 		return nil, fmt.Errorf("ndmesh: replay comparison needs a trace")
 	}
@@ -102,22 +88,10 @@ func replayCompareSweep(opt ReplayCompareOptions, seed uint64) ([]ReplayCompareR
 	if err := validateLoadShape(&sopt); err != nil {
 		return nil, err
 	}
-	jobs := len(opt.Routers)
-	rngs := splitN(seed, jobs)
-	rows := make([]ReplayCompareRow, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	err := par.ForState(opt.Workers, jobs, newSimPool, func(p *simPool, j int) error {
+	ctl := sweepControl[ReplayCompareRow]{workers: workers, progress: opt.Progress}
+	return runCells(ctl, seed, len(opt.Routers), func(p *simPool, j int, r *rng.Source) (ReplayCompareRow, error) {
 		wl := workload{rate: base.Rate, window: base.Window, replay: opt.Trace}
-		pt, err := p.loadPoint(sopt, wl, opt.Routers[j], rngs[j])
-		if err != nil {
-			return err
-		}
-		rows[j] = ReplayCompareRow{Router: opt.Routers[j], Point: pt}
-		progress()
-		return nil
+		pt, err := p.loadPoint(sopt, wl, opt.Routers[j], r)
+		return ReplayCompareRow{Router: opt.Routers[j], Point: pt}, err
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }

@@ -4,7 +4,7 @@ package ndmesh
 // contention-mode engine with internal/traffic's workloads — open-loop
 // injection (E19), closed-loop bounded-window sources (E21, closedloop.go)
 // and recorded-trace replays — through the warmup/measure/drain methodology
-// and emits latency-throughput curves. SaturationSweep fans the (pattern,
+// and emits latency-throughput curves. SaturationSweepWorkers fans the (pattern,
 // rate, router) grid across the parallel experiment engine under the same
 // determinism contract as every other sweep: per-job rng streams are split
 // serially in job order, each job writes only its own result slot, and
@@ -14,13 +14,11 @@ package ndmesh
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"ndmesh/internal/engine"
 	"ndmesh/internal/fault"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
-	"ndmesh/internal/par"
 	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 	"ndmesh/internal/traffic"
@@ -86,9 +84,6 @@ type SaturationOptions struct {
 	FaultModel  string
 	FaultShape  float64
 	FaultRepair float64
-	// Workers is the parallel fan-out width; < 1 means GOMAXPROCS. The
-	// results are identical for every value.
-	Workers int
 	// Probe, when non-nil, receives the per-step census of the run (see
 	// internal/probe). Because probes are stateful accumulators, a probed
 	// sweep must be a single cell (one pattern, one rate, one router) —
@@ -165,21 +160,10 @@ type SaturationRow struct {
 	LatMax                 int
 }
 
-// SaturationSweep runs the latency-throughput grid with all available
-// cores.
-func SaturationSweep(opt SaturationOptions, seed uint64) ([]SaturationRow, error) {
-	opt.Workers = 0
-	return saturationSweep(opt, seed)
-}
-
-// SaturationSweepWorkers is SaturationSweep with an explicit worker count
-// (each (pattern, rate, router) cell is one parallel job).
+// SaturationSweepWorkers runs the latency-throughput grid on workers
+// parallel workers (< 1 means GOMAXPROCS); each (pattern, rate, router)
+// cell is one job.
 func SaturationSweepWorkers(opt SaturationOptions, seed uint64, workers int) ([]SaturationRow, error) {
-	opt.Workers = workers
-	return saturationSweep(opt, seed)
-}
-
-func saturationSweep(opt SaturationOptions, seed uint64) ([]SaturationRow, error) {
 	if err := validateSaturation(&opt); err != nil {
 		return nil, err
 	}
@@ -189,27 +173,18 @@ func saturationSweep(opt SaturationOptions, seed uint64) ([]SaturationRow, error
 	}
 	// One job per (pattern, rate, router) cell, pattern-major — the order
 	// the rows are reported in and the order the job streams are split in.
+	ctl := sweepControl[SaturationRow]{workers: workers, probed: opt.Probe != nil,
+		pool: opt.Pool, cancel: opt.Cancel, emit: opt.Emit, progress: opt.Progress}
 	jobs := len(opt.Patterns) * len(opt.Rates) * len(opt.Routers)
-	if opt.Probe != nil && jobs > 1 {
-		return nil, fmt.Errorf("ndmesh: a probed sweep must be a single cell (got %d); probes are stateful accumulators and parallel cells would interleave their censuses", jobs)
-	}
-	rngs := splitN(seed, jobs)
-	rows := make([]SaturationRow, jobs)
-	progress := progressCounter(opt.Progress, jobs)
-	co := opt.Pool.checkout()
-	defer co.release()
-	err = par.ForState(opt.Workers, jobs, co.worker, func(p *simPool, j int) error {
-		if opt.Cancel != nil && opt.Cancel() {
-			return ErrCanceled
-		}
+	return runCells(ctl, seed, jobs, func(p *simPool, j int, r *rng.Source) (SaturationRow, error) {
 		pi := j / (len(opt.Rates) * len(opt.Routers))
 		ri := j / len(opt.Routers) % len(opt.Rates)
 		ki := j % len(opt.Routers)
-		pt, err := p.loadPoint(opt, workload{pattern: opt.Patterns[pi], rate: opt.Rates[ri]}, opt.Routers[ki], rngs[j])
+		pt, err := p.loadPoint(opt, workload{pattern: opt.Patterns[pi], rate: opt.Rates[ri]}, opt.Routers[ki], r)
 		if err != nil {
-			return err
+			return SaturationRow{}, err
 		}
-		rows[j] = SaturationRow{
+		return SaturationRow{
 			Dims:         shape.String(),
 			Pattern:      opt.Patterns[pi],
 			Router:       opt.Routers[ki],
@@ -227,58 +202,41 @@ func saturationSweep(opt SaturationOptions, seed uint64) ([]SaturationRow, error
 			LatP95:       pt.Latency.P95,
 			LatP99:       pt.Latency.P99,
 			LatMax:       pt.Latency.Max,
-		}
-		if opt.Emit != nil {
-			opt.Emit(j, rows[j])
-		}
-		progress()
-		return nil
+		}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// progressCounter wraps a Progress callback into a no-arg tick that is
-// safe to call from parallel job workers; a nil callback costs nothing.
-func progressCounter(fn func(done, total int), total int) func() {
-	if fn == nil {
-		return func() {}
-	}
-	var mu sync.Mutex
-	done := 0
-	return func() {
-		mu.Lock()
-		done++
-		d := done
-		mu.Unlock()
-		fn(d, total)
-	}
 }
 
 func validateSaturation(opt *SaturationOptions) error {
 	if len(opt.Routers) == 0 || len(opt.Patterns) == 0 || len(opt.Rates) == 0 {
 		return fmt.Errorf("ndmesh: saturation sweep needs at least one router, pattern and rate")
 	}
-	// Reject rates the arrival process cannot offer faithfully: past its
-	// MaxRate the realized load silently clips and the curve's offered-rate
-	// axis would lie (a Bernoulli source caps at 1 msg/node/step, a bursty
-	// one at its duty cycle).
-	proc, err := traffic.ProcessByName(opt.Process)
-	if err != nil {
-		return err
-	}
 	for _, rate := range opt.Rates {
-		if rate <= 0 {
-			return fmt.Errorf("ndmesh: injection rate %v must be positive", rate)
-		}
-		if max := proc.MaxRate(); rate > max {
-			return fmt.Errorf("ndmesh: rate %v exceeds what the %s process can offer (max %v msgs/node/step); use a lower rate or the poisson process",
-				rate, proc.Name(), max)
+		if err := checkRate(opt.Process, rate); err != nil {
+			return err
 		}
 	}
 	return validateLoadShape(opt)
+}
+
+// checkRate rejects an injection rate the named arrival process cannot
+// offer faithfully: past its MaxRate the realized load silently clips and
+// a curve's offered-rate axis would lie (a Bernoulli source caps at 1
+// msg/node/step, a bursty one at its duty cycle, a Poisson sampler where
+// exp(-rate) underflows). NaN fails every comparison, so the positivity
+// test is written to reject it.
+func checkRate(process string, rate float64) error {
+	proc, err := traffic.ProcessByName(process)
+	if err != nil {
+		return err
+	}
+	if !(rate > 0) {
+		return fmt.Errorf("ndmesh: injection rate %v must be positive", rate)
+	}
+	if max := proc.MaxRate(); rate > max {
+		return fmt.Errorf("ndmesh: rate %v exceeds what the %s process can offer (max %v msgs/node/step)",
+			rate, proc.Name(), max)
+	}
+	return nil
 }
 
 // validateLoadShape checks (and defaults) the workload-independent run
@@ -757,9 +715,9 @@ type LoadOptions struct {
 // authoritative for the workload side (dims, rate/window, phase lengths,
 // fault schedule), and the engine-side configuration is inherited for every
 // field the caller left zero, so a plain replay reproduces the origin run
-// byte-identically. Factored out of LoadRun so ReplayCompareSweep applies
-// the identical rules — a replay behaves the same whichever entry point
-// runs it. opt.Replay must be non-nil.
+// byte-identically. Factored out of LoadRun so ReplayCompareSweepWorkers
+// applies the identical rules — a replay behaves the same whichever entry
+// point runs it. opt.Replay must be non-nil.
 func (opt *LoadOptions) applyReplay() {
 	tr := opt.Replay
 	opt.Dims = append([]int(nil), tr.Dims...)

@@ -83,7 +83,7 @@ func TestTheorem2(t *testing.T) {
 // produce no violations of the progress recurrence or the k-interval /
 // max-detour bounds.
 func TestTheorem3And4(t *testing.T) {
-	rep, err := TheoremSweep([]int{16, 16}, 40, 2024)
+	rep, err := TheoremSweepWorkers([]int{16, 16}, 40, 2024, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestTheorem3And4(t *testing.T) {
 
 // TestTheorem5 (E13): unsafe-source runs respect the path-length bound.
 func TestTheorem5(t *testing.T) {
-	rep, err := TheoremSweep([]int{12, 12}, 80, 99)
+	rep, err := TheoremSweepWorkers([]int{12, 12}, 80, 99, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestTheorem5(t *testing.T) {
 		t.Fatalf("Theorem 5 violations: %+v", rep)
 	}
 	// 3-D as well.
-	rep3, err := TheoremSweep([]int{8, 8, 8}, 30, 7)
+	rep3, err := TheoremSweepWorkers([]int{8, 8, 8}, 30, 7, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"slices"
 	"testing"
 
 	"ndmesh/internal/core"
 	"ndmesh/internal/grid"
 	"ndmesh/internal/mesh"
+	"ndmesh/internal/rng"
 	"ndmesh/internal/route"
 )
 
@@ -191,6 +193,92 @@ func TestDetachDoneKeepsOrderAndRecycles(t *testing.T) {
 	recycled, _ := e.Inject(shape.Index(grid.Coord{1, 1}), shape.Index(grid.Coord{1, 3}), route.DOR{})
 	if recycled != near {
 		t.Error("Inject did not recycle the detached flight")
+	}
+}
+
+// TestDetachDoneMatchesScan checks the index-list harvest against a
+// reference full Done() scan of the active list: fn must see exactly the
+// terminated flights in list order, the kept flights must keep their
+// order, no terminated flight may survive the harvest and residency must
+// match the survivors. The run mixes one and several Steps between
+// harvests (several ascending runs in the index list), timeout kills,
+// contention-free steps, ClearFlights and Reset.
+func TestDetachDoneMatchesScan(t *testing.T) {
+	cfg := ContentionConfig{LinkRate: 1, NodeCapacity: 2, FlightTimeout: 3}
+	e, shape := newContentionEngine(t, 8, cfg)
+	n := shape.NumNodes()
+	r := rng.New(5)
+	routers := []route.Router{route.Limited{}, route.DOR{}, route.Blind{}}
+	var timedOut, multiRun, detached int
+	harvest := func(round int) {
+		var wantGone, wantKept []*Flight
+		for _, f := range e.Flights() {
+			if f.Msg.Done() {
+				wantGone = append(wantGone, f)
+			} else {
+				wantKept = append(wantKept, f)
+			}
+		}
+		if !slices.IsSorted(e.terminal) {
+			multiRun++
+		}
+		var gone []*Flight
+		e.DetachDone(func(f *Flight) {
+			gone = append(gone, f)
+			if f.Msg.TimedOut {
+				timedOut++
+			}
+		})
+		detached += len(gone)
+		if !slices.Equal(gone, wantGone) {
+			t.Fatalf("round %d: harvested %d flights, the scan finds %d (or in another order)", round, len(gone), len(wantGone))
+		}
+		if !slices.Equal(e.Flights(), wantKept) {
+			t.Fatalf("round %d: kept flights differ from the scan's", round)
+		}
+		if !e.ContentionEnabled() {
+			return
+		}
+		want := make([]int32, n)
+		for _, f := range e.Flights() {
+			want[f.Msg.Cur]++
+		}
+		if !slices.Equal(e.ctn.resident, want) {
+			t.Fatalf("round %d: residency does not match the kept flights", round)
+		}
+	}
+	for round := 0; round < 300; round++ {
+		for k := r.Intn(24); k > 0; k-- {
+			src, dst := grid.NodeID(r.Intn(n)), grid.NodeID(r.Intn(n))
+			if src != dst && e.Admit(src) {
+				if _, err := e.Inject(src, dst, routers[r.Intn(len(routers))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		switch round % 50 {
+		case 17:
+			// Contention-free steps list their terminal flights too.
+			e.DisableContention()
+			e.Step()
+			e.Step()
+			harvest(round)
+			e.EnableContention(cfg)
+			continue
+		case 33:
+			e.Step()
+			e.ClearFlights()
+		case 49:
+			e.Step()
+			e.Reset()
+		}
+		for s := r.Intn(4); s >= 0; s-- {
+			e.Step()
+		}
+		harvest(round)
+	}
+	if timedOut == 0 || multiRun == 0 || detached < 100 {
+		t.Fatalf("scenario too weak: %d timeouts, %d multi-step harvests, %d flights detached", timedOut, multiRun, detached)
 	}
 }
 

@@ -26,6 +26,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"ndmesh/internal/block"
 	"ndmesh/internal/core"
@@ -35,8 +36,36 @@ import (
 )
 
 // Flight is one routing message in flight with its router and context.
+// Msg points at the message stored inside the flight, so a Flight must
+// never be copied by value: the copy's Msg would still point into the
+// original.
 type Flight struct {
-	Msg    *route.Message
+	Msg *route.Message
+
+	// StallAge counts the consecutive contention steps this flight has
+	// spent in place without terminating: it increments every step the
+	// flight neither moves nor reaches a terminal state, and resets to 0 on
+	// any move. FlightTimeout kills a flight whose StallAge reaches the
+	// threshold; the gridlock detector uses the same census in aggregate.
+	StallAge int
+
+	// parkEpoch, parkLi and parkTo park a step-stable flight that lost the
+	// gate: the directed link it was denied and that link's downstream
+	// node, valid while parkEpoch equals the engine's park epoch. A parked
+	// flight's next decision is known to be the same traversal, so while
+	// the gate would still deny it the step applies the stall in place.
+	parkEpoch uint64
+	parkLi    int32
+	parkTo    grid.NodeID
+
+	// resident marks that the flight is counted in the contention model's
+	// per-node residency (cleared when the count is released).
+	resident bool
+
+	// msg is the message Msg points at; keeping it inside the flight puts
+	// a waiting flight's counters next to its park state.
+	msg route.Message
+
 	Router route.Router
 	Ctx    route.Context
 	// StartStep is the step the message was injected (the t of Table 1).
@@ -47,17 +76,6 @@ type Flight struct {
 	// EventIdxAt records which global event index each DistAt sample
 	// belongs to.
 	EventIdxAt []int
-
-	// StallAge counts the consecutive contention steps this flight has
-	// spent in place without terminating: it increments every step the
-	// flight neither moves nor reaches a terminal state, and resets to 0 on
-	// any move. FlightTimeout kills a flight whose StallAge reaches the
-	// threshold; the gridlock detector uses the same census in aggregate.
-	StallAge int
-
-	// resident marks that the flight is counted in the contention model's
-	// per-node residency (cleared when the count is released).
-	resident bool
 }
 
 // EventRecord captures one fault occurrence (or recovery) and the
@@ -158,6 +176,19 @@ type contention struct {
 	numDirs     int32
 	gateFn      route.Gate // bound method value, built once at enable
 
+	// epoch stamps parked flights (Flight.parkEpoch). It advances whenever
+	// the mesh or store version seen by the routing phase changes, and on
+	// every resetContention, so a stamp is valid only while everything a
+	// step-stable decision reads is unchanged. meshVer/storeVer are the
+	// versions the current epoch was taken at. deniedLi/deniedTo record
+	// the gate's last denial (deniedLi < 0: none since it was cleared).
+	// parked counts the stalls applied in place since the last reset.
+	epoch             uint64
+	meshVer, storeVer uint64
+	deniedLi          int32
+	deniedTo          grid.NodeID
+	parked            int
+
 	// Gridlock-detector state (GridlockWindow > 0). zeroStreak counts
 	// consecutive zero-progress steps with nonzero population; gridlocked
 	// is the current latch. gridlockAt/recoverAt log the first episode:
@@ -183,6 +214,10 @@ type Engine struct {
 
 	step    int
 	flights []*Flight
+	// terminal lists the indexes into flights of the flights that turned
+	// terminal since the last harvest, in the order they did: DetachDone
+	// compacts around them without visiting the flights it keeps.
+	terminal []int32
 
 	// Events is the per-occurrence log (one record per schedule event).
 	Events []*EventRecord
@@ -195,6 +230,11 @@ type Engine struct {
 	// reallocating flight, message, or record objects.
 	spareFlights []*Flight
 	spareEvents  []*EventRecord
+
+	// scratch is the routing scratch every flight's context shares: the
+	// engine decides one flight at a time, and a decision's scratch is
+	// dead once it returns.
+	scratch route.Scratch //meshvet:keep per-decision buffers, dead between decisions
 
 	// oracle computes EMaxAfter in finalizeLastEvent with reusable buffers
 	// (a fault process applies events all run long; the centralized Extract
@@ -367,6 +407,8 @@ func (e *Engine) resetContention() {
 	c.gridlocked = false
 	c.gridlockAt = -1
 	c.recoverAt = -1
+	c.epoch++
+	c.parked = 0
 }
 
 // gate implements route.Gate: a traversal is granted while the link has
@@ -379,20 +421,32 @@ func (e *Engine) resetContention() {
 func (e *Engine) gate(from grid.NodeID, dir grid.Dir) bool {
 	c := &e.ctn
 	li := int32(from)*c.numDirs + int32(dir)
-	if c.served[li] >= int32(c.cfg.LinkRate) {
-		return c.deny(li)
-	}
+	to := grid.InvalidNode
 	if c.cfg.NodeCapacity > 0 {
-		if to := e.Model.M.Neighbor(from, dir); to != grid.InvalidNode &&
-			int(c.resident[to]) >= c.cfg.NodeCapacity {
-			return c.deny(li)
-		}
+		to = e.Model.M.Neighbor(from, dir)
+	}
+	if c.blocked(li, to) {
+		c.deniedLi, c.deniedTo = li, to
+		return c.deny(li)
 	}
 	if c.served[li] == 0 {
 		c.dirty = append(c.dirty, li)
 	}
 	c.served[li]++
 	return true
+}
+
+// blocked is the gate's test: directed link li has no service budget left
+// this step, or the buffer of its downstream node to is full (to is only
+// consulted under a finite NodeCapacity).
+//
+//meshvet:noalloc
+func (c *contention) blocked(li int32, to grid.NodeID) bool {
+	if c.served[li] >= int32(c.cfg.LinkRate) {
+		return true
+	}
+	return c.cfg.NodeCapacity > 0 && to != grid.InvalidNode &&
+		int(c.resident[to]) >= c.cfg.NodeCapacity
 }
 
 // deny records one stalled traversal on the directed link for next step's
@@ -430,6 +484,7 @@ func (e *Engine) Reset() {
 func (e *Engine) ClearFlights() {
 	e.spareFlights = append(e.spareFlights, e.flights...)
 	e.flights = e.flights[:0]
+	e.terminal = e.terminal[:0]
 	if e.ctn.enabled {
 		e.resetContention()
 	}
@@ -437,20 +492,27 @@ func (e *Engine) ClearFlights() {
 
 // DetachDone removes every terminated flight from the active list —
 // preserving the injection order of the rest, which the contention
-// arbitration depends on — calling fn (may be nil) for each before the
-// flight is recycled into the free list. Load runs call it every step so
-// the active list stays proportional to the in-flight population and
-// delivered flights release their router buffer slot; the detached Flight
-// must not be retained after fn returns.
+// arbitration depends on — calling fn (may be nil) for each, in that
+// order, before the flight is recycled into the free list. Load runs call
+// it every step so the active list stays proportional to the in-flight
+// population and delivered flights release their router buffer slot; the
+// detached Flight must not be retained after fn returns. It works from
+// the indexes Step listed, so its cost follows the flights that finished,
+// not the flights that remain; a flight counts as terminated once a Step
+// has seen it turn terminal.
 //
 //meshvet:noalloc
 func (e *Engine) DetachDone(fn func(*Flight)) {
-	kept := e.flights[:0]
-	for _, f := range e.flights {
-		if !f.Msg.Done() {
-			kept = append(kept, f)
-			continue
-		}
+	idx := e.terminal
+	if len(idx) == 0 {
+		return
+	}
+	// Each Step lists its flights in order; several Steps between
+	// harvests append several ascending runs.
+	slices.Sort(idx)
+	w := int(idx[0])
+	for k, i := range idx {
+		f := e.flights[i]
 		if e.ctn.enabled && f.resident {
 			e.ctn.resident[f.Msg.Cur]--
 			f.resident = false
@@ -459,8 +521,14 @@ func (e *Engine) DetachDone(fn func(*Flight)) {
 			fn(f)
 		}
 		e.spareFlights = append(e.spareFlights, f)
+		end := len(e.flights)
+		if k+1 < len(idx) {
+			end = int(idx[k+1])
+		}
+		w += copy(e.flights[w:], e.flights[i+1:end])
 	}
-	e.flights = kept
+	e.flights = e.flights[:w]
+	e.terminal = e.terminal[:0]
 }
 
 // Inject adds a routing message from src to dst under the given router,
@@ -481,7 +549,7 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	// The engine is every flight's load view (route.LoadView): outside
 	// contention mode both signals read zero, so load-aware routers
 	// collapse to their load-oblivious baselines.
-	ctx := route.Context{M: e.Model.M, Load: e, Policy: route.LowestAxis}
+	ctx := route.Context{M: e.Model.M, Load: e, Policy: route.LowestAxis, Scratch: &e.scratch}
 	if _, isBlind := r.(route.Blind); !isBlind {
 		ctx.Store = e.Model.Store
 	}
@@ -489,22 +557,19 @@ func (e *Engine) Inject(src, dst grid.NodeID, r route.Router) (*Flight, error) {
 	if n := len(e.spareFlights); n > 0 {
 		f = e.spareFlights[n-1]
 		e.spareFlights = e.spareFlights[:n-1]
-		f.Msg.Reset(src, dst)
 		f.Router = r
 		// Assign context fields individually: the recycled context keeps
-		// its routing scratch buffers (route.Context.coords).
-		f.Ctx.M, f.Ctx.Store, f.Ctx.Load, f.Ctx.Policy = ctx.M, ctx.Store, ctx.Load, ctx.Policy
+		// its destination decode buffer (route.Context.coords).
+		f.Ctx.M, f.Ctx.Store, f.Ctx.Load, f.Ctx.Policy, f.Ctx.Scratch = ctx.M, ctx.Store, ctx.Load, ctx.Policy, ctx.Scratch
 		f.StartStep = e.step
 		f.DistAt = f.DistAt[:0]
 		f.EventIdxAt = f.EventIdxAt[:0]
 	} else {
-		f = &Flight{
-			Msg:       route.NewMessage(src, dst),
-			Router:    r,
-			Ctx:       ctx,
-			StartStep: e.step,
-		}
+		f = &Flight{Router: r, Ctx: ctx, StartStep: e.step}
 	}
+	f.Msg = &f.msg
+	f.msg.Reset(src, dst)
+	f.parkEpoch = 0
 	f.resident = e.ctn.enabled
 	if f.resident {
 		e.ctn.resident[src]++
@@ -543,7 +608,9 @@ func (e *Engine) Step() {
 	// with a fresh link-service budget and flights are polled in injection
 	// order, so links are granted oldest-first; a flight that loses
 	// arbitration waits in place and decides again next step (reusing
-	// its memoized decision when nothing it reads changed).
+	// its memoized decision when nothing it reads changed). A step-stable
+	// flight parked on its denied link skips even that while the gate
+	// would still deny it.
 	if e.ctn.enabled {
 		c := &e.ctn
 		for _, li := range c.dirty {
@@ -558,13 +625,21 @@ func (e *Engine) Step() {
 		}
 		c.lastPending, c.pending = c.pending, c.lastPending
 		c.lastDty, c.pendingDty = c.pendingDty, c.lastDty[:0]
+		// The fault events and information rounds above are the only
+		// writers of what a step-stable decision reads; any change retires
+		// every park stamp.
+		if mv, sv := e.Model.M.Version(), e.Model.Store.Version(); mv != c.meshVer || sv != c.storeVer {
+			c.meshVer, c.storeVer = mv, sv
+			c.epoch++
+		}
 		// The routing loop doubles as the progress census: progressed
 		// counts flights that moved or reached a terminal state this step,
 		// active counts flights still live afterwards. Gridlock detection
 		// and timeouts are built on it.
 		progressed, active := 0, 0
-		for _, f := range e.flights {
-			if f.Msg.Done() {
+		for i, f := range e.flights {
+			m := f.Msg
+			if m.Done() {
 				continue
 			}
 			if c.cfg.FlightTimeout > 0 && f.StallAge >= c.cfg.FlightTimeout {
@@ -572,16 +647,35 @@ func (e *Engine) Step() {
 				// its source. The terminal transition counts as progress (the
 				// population shrank) and residency is released by the next
 				// DetachDone harvest.
-				f.Msg.TimedOut = true
+				m.TimedOut = true
+				e.terminal = append(e.terminal, int32(i))
 				progressed++
 				if e.probe != nil {
 					e.census.TimedOut++
 				}
 				continue
 			}
-			before := f.Msg.Cur
-			route.AdvanceGated(&f.Ctx, f.Router, f.Msg, c.gateFn)
-			switch cur := f.Msg.Cur; {
+			if f.parkEpoch == c.epoch {
+				if c.blocked(f.parkLi, f.parkTo) {
+					// The stall AdvanceGated would apply, without deciding:
+					// the memoized decision asks for the same link.
+					c.deny(f.parkLi)
+					c.parked++
+					m.Steps++
+					m.Waits++
+					f.StallAge++
+					if e.probe != nil {
+						e.census.Stalls++
+					}
+					active++
+					continue
+				}
+				f.parkEpoch = 0
+			}
+			before := m.Cur
+			c.deniedLi = -1
+			route.AdvanceGated(&f.Ctx, f.Router, m, c.gateFn)
+			switch cur := m.Cur; {
 			case cur != before:
 				if f.resident {
 					c.resident[before]--
@@ -591,27 +685,33 @@ func (e *Engine) Step() {
 				progressed++
 				if e.probe != nil {
 					e.census.Moves++
-					if m := f.Msg; m.Done() {
+				}
+				if m.Done() {
+					e.terminal = append(e.terminal, int32(i))
+					if e.probe != nil {
 						e.census.observeTerminal(m.Arrived, m.Unreachable, m.Lost, m.TimedOut)
 					}
+					continue
 				}
-			case f.Msg.Done():
+			case m.Done():
 				// Terminal without a move (unreachable verdict, or lost to a
 				// fault under its feet): still progress.
+				e.terminal = append(e.terminal, int32(i))
 				progressed++
 				if e.probe != nil {
-					m := f.Msg
 					e.census.observeTerminal(m.Arrived, m.Unreachable, m.Lost, m.TimedOut)
 				}
+				continue
 			default:
 				f.StallAge++
 				if e.probe != nil {
 					e.census.Stalls++
 				}
+				if c.deniedLi >= 0 && route.StepStable(f.Router) {
+					f.parkEpoch, f.parkLi, f.parkTo = c.epoch, c.deniedLi, c.deniedTo
+				}
 			}
-			if !f.Msg.Done() {
-				active++
-			}
+			active++
 		}
 		if c.cfg.GridlockWindow > 0 {
 			if active > 0 && progressed == 0 {
@@ -638,9 +738,12 @@ func (e *Engine) Step() {
 			e.census.Gridlocked = c.gridlocked
 		}
 	} else {
-		for _, f := range e.flights {
+		for i, f := range e.flights {
 			if !f.Msg.Done() {
 				route.Advance(&f.Ctx, f.Router, f.Msg)
+				if f.Msg.Done() {
+					e.terminal = append(e.terminal, int32(i))
+				}
 			}
 		}
 	}

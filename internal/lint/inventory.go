@@ -31,6 +31,7 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/engine.Engine.Step",
 		"ndmesh/internal/engine.Engine.DetachDone",
 		"ndmesh/internal/engine.Engine.gate",
+		"ndmesh/internal/engine.contention.blocked",
 		"ndmesh/internal/engine.contention.deny",
 		"ndmesh/internal/engine.StepCensus.observeTerminal",
 		"ndmesh/internal/route.Advance",
@@ -42,6 +43,11 @@ var AllocTestCoverage = map[string][]string{
 		"ndmesh/internal/route.Limited.Decide",
 		"ndmesh/internal/route.classifyLimited",
 		"ndmesh/internal/route.Blind.Decide",
+	},
+	// A context reused flight after flight, as recycled engine flights
+	// reuse theirs: the message rewinds and the decode buffers survive.
+	"TestReusedContextDecidesAllocFree": {
+		"ndmesh/internal/route.Message.Reset",
 	},
 	// The load-adaptive decide path.
 	"TestCongestedStepAllocFree": {

@@ -109,10 +109,10 @@ func (c Congested) Decide(ctx *Context, msg *Message) Decision {
 	if ctx.Load == nil || (!c.Cfg.Eager && !msg.Stalled()) {
 		return Limited{}.Decide(ctx, msg)
 	}
-	if classifyLimited(ctx, msg) {
+	cl := classifyLimited(ctx, msg)
+	if cl == nil {
 		return backtrackOrFail(msg)
 	}
-	cl := &ctx.cl
 	cfg := c.Cfg.norm()
 	if len(cl.preferred) > 0 {
 		base := pickPreferred(ctx, cl.preferred, cl.uc, cl.dc)

@@ -29,14 +29,16 @@
 // its inputs changed: its header, the mesh version or the record store
 // version. Otherwise DecideMemo hands back the decision it memoized on the
 // message, which is identical to a fresh one by construction. Routers are
-// stateless per decision; all scratch lives in the caller-owned Context
-// (coordinate buffers, direction lists, and a node-id-keyed decode cache),
-// valid only during the current Decide call, which keeps the steady-state
-// decision 0 allocs/op. The one exception is Oracle's cached distance
-// field, the reason StepStable excludes it: StepStable(r) certifies that a
-// router's decisions depend only on the header and on state frozen for the
-// whole routing phase of a step — the property that lets DecideMemo reuse
-// them with byte-identical results.
+// stateless per decision; all scratch lives in the caller's Scratch
+// (coordinate buffers, direction lists, and a node-id-keyed decode cache of
+// the current node), valid only during the current Decide call, which keeps
+// the steady-state decision 0 allocs/op. Contexts that never decide
+// concurrently may share one Scratch, as an engine's flights do; each
+// Context keeps only its own destination decode. The one exception is
+// Oracle's cached distance field, the reason StepStable excludes it:
+// StepStable(r) certifies that a router's decisions depend only on the
+// header and on state frozen for the whole routing phase of a step — the
+// property that lets DecideMemo reuse them with byte-identical results.
 package route
 
 import (
@@ -85,50 +87,79 @@ type Context struct {
 	Load   LoadView
 	Policy Policy
 
-	// ucBuf/dcBuf/wcBuf are reusable coordinate buffers for the per-step
-	// routing decision (lazily sized on first use), so a steady-state
-	// decision performs no allocation. cl is the candidate partition,
-	// filled in place by classifyLimited (Blind reuses its preferred and
-	// spares lists): a decision copies no slice headers and the direction
-	// lists keep their capacity. Both are scratch for the current Decide
-	// call only.
-	ucBuf, dcBuf, wcBuf grid.Coord
-	cl                  classified
+	// Scratch holds the per-decision buffers. Contexts that never decide
+	// concurrently may share one; nil means the context allocates a
+	// private one on its first decision.
+	Scratch *Scratch
 
-	// coordShape/ucID/dcID memoize the decodes held in ucBuf/dcBuf: a
-	// linear-to-coordinate decode is a divmod per dimension, and profiles
-	// put those divmods at 43% of the serial contention step, so coords
-	// only re-decodes when the queried node actually changed. The
-	// destination is fixed for a flight's lifetime (decoded once, not once
-	// per step) and the current node repeats across stalled steps. The
-	// shape pointer keys the whole cache: a context migrated to a
-	// different mesh re-decodes from scratch.
-	coordShape *grid.Shape
-	ucID, dcID grid.NodeID
+	// dcBuf holds the destination's decode, dcID the id it decodes and
+	// dcShape the shape it was decoded in. The destination is fixed for a
+	// message's lifetime, so it is decoded once per flight rather than
+	// once per decision; a context migrated to a different mesh re-decodes.
+	dcBuf   grid.Coord
+	dcShape *grid.Shape
+	dcID    grid.NodeID
 }
 
-// coords resolves the current node and the destination into the context's
-// reusable buffers, reusing the previous decode when the id is unchanged.
+// Scratch is the per-decision working memory of the routers: reusable
+// coordinate buffers (lazily sized on first use) and the candidate
+// partition, filled in place by classifyLimited (Blind reuses its
+// preferred and spares lists), so a decision copies no slice headers, the
+// direction lists keep their capacity and a steady-state decision performs
+// no allocation. Its contents are valid during the current Decide call
+// only, which is what lets many contexts share one.
+type Scratch struct {
+	ucBuf, wcBuf grid.Coord
+	cl           classified
+
+	// shape/ucID memoize the decode held in ucBuf: a linear-to-coordinate
+	// decode is a divmod per dimension, and profiles put those divmods at
+	// 43% of the serial contention step, so the current node only
+	// re-decodes when the queried node actually changed. The shape
+	// pointer keys the whole cache.
+	shape *grid.Shape
+	ucID  grid.NodeID
+}
+
+// scratch returns the context's Scratch, allocating a private one on first
+// use.
+func (ctx *Context) scratch() *Scratch {
+	if ctx.Scratch == nil {
+		ctx.Scratch = new(Scratch)
+	}
+	return ctx.Scratch
+}
+
+// coords resolves the current node and the destination into reusable
+// buffers, reusing the previous decode when the id is unchanged: the
+// current node's in the scratch, the destination's in the context.
 func (ctx *Context) coords(u, d grid.NodeID) (uc, dc grid.Coord) {
 	shape := ctx.M.Shape()
-	if ctx.coordShape != shape {
-		if len(ctx.ucBuf) != shape.Dims() {
-			ctx.ucBuf = make(grid.Coord, shape.Dims())
-			ctx.dcBuf = make(grid.Coord, shape.Dims())
-			ctx.wcBuf = make(grid.Coord, shape.Dims())
+	s := ctx.scratch()
+	if s.shape != shape {
+		if len(s.ucBuf) != shape.Dims() {
+			s.ucBuf = make(grid.Coord, shape.Dims())
+			s.wcBuf = make(grid.Coord, shape.Dims())
 		}
-		ctx.coordShape = shape
-		ctx.ucID, ctx.dcID = grid.InvalidNode, grid.InvalidNode
+		s.shape = shape
+		s.ucID = grid.InvalidNode
 	}
-	if ctx.ucID != u {
-		shape.Coord(u, ctx.ucBuf)
-		ctx.ucID = u
+	if s.ucID != u {
+		shape.Coord(u, s.ucBuf)
+		s.ucID = u
+	}
+	if ctx.dcShape != shape {
+		if len(ctx.dcBuf) != shape.Dims() {
+			ctx.dcBuf = make(grid.Coord, shape.Dims())
+		}
+		ctx.dcShape = shape
+		ctx.dcID = grid.InvalidNode
 	}
 	if ctx.dcID != d {
 		shape.Coord(d, ctx.dcBuf)
 		ctx.dcID = d
 	}
-	return ctx.ucBuf, ctx.dcBuf
+	return s.ucBuf, ctx.dcBuf
 }
 
 // Decision is the outcome of one routing decision.
@@ -155,25 +186,27 @@ type Router interface {
 
 // Message is a PCS path-setup message: destination plus the header state
 // Algorithm 3 requires — the path stack for backtracking and the list of
-// used directions for each forwarding node along the path.
+// used directions for each forwarding node along the path. The counters
+// and terminal flags sit ahead of the lists, close to the front, so a step
+// that only waits touches little of it.
 type Message struct {
 	Src, Dst grid.NodeID
 	Cur      grid.NodeID
 	// Incoming is the direction of the last move (InvalidDir at start).
 	Incoming grid.Dir
 
-	path []grid.NodeID
-	// visits is the header's used-direction list: one entry per node the
-	// message has forwarded from, in first-forward order. A flight touches
-	// tens of nodes, so a contiguous list searched from its newest entry
-	// beats hashing.
-	visits []visit
-
 	// Hops counts every link traversal (forward and backward); Backtracks
 	// counts the backward ones. Steps counts decision steps including
 	// waits. Waits counts the steps a contention gate stalled the message
 	// (always 0 outside contention mode).
 	Hops, Backtracks, Steps, Waits int
+
+	// Arrived, Unreachable, Lost, TimedOut are the terminal states. Lost
+	// marks the pathological dynamic case where the backtrack target itself
+	// failed. TimedOut marks a flight the contention engine killed back to
+	// its source after stalling in place past the configured timeout — the
+	// deadlock-escape path; routers never set it themselves.
+	Arrived, Unreachable, Lost, TimedOut bool
 
 	// stalled records that the most recent step was a gate denial: the
 	// message wanted a link and lost arbitration. Congestion-aware routers
@@ -183,12 +216,17 @@ type Message struct {
 	// noise-driven herding. Always false outside contention mode.
 	stalled bool
 
-	// Arrived, Unreachable, Lost, TimedOut are the terminal states. Lost
-	// marks the pathological dynamic case where the backtrack target itself
-	// failed. TimedOut marks a flight the contention engine killed back to
-	// its source after stalling in place past the configured timeout — the
-	// deadlock-escape path; routers never set it themselves.
-	Arrived, Unreachable, Lost, TimedOut bool
+	// seen is a 64-bit filter over the ids in visits: seenBit(id) is set
+	// for every id the list holds, so a clear bit proves a first visit
+	// without scanning the list.
+	seen uint64
+
+	path []grid.NodeID
+	// visits is the header's used-direction list: one entry per node the
+	// message has forwarded from, in first-forward order. A flight touches
+	// tens of nodes, so a contiguous list searched from its newest entry
+	// beats hashing.
+	visits []visit
 
 	// memo is the last decision DecideMemo made for a step-stable router,
 	// memoKey the inputs it was made from, and memoOK marks it valid.
@@ -219,11 +257,14 @@ func NewMessage(src, dst grid.NodeID) *Message {
 // Reset rewinds the message to a fresh injection from src to dst, keeping
 // the capacity of the path stack and the used-direction list so a recycled
 // message allocates nothing on its next flight.
+//
+//meshvet:noalloc
 func (msg *Message) Reset(src, dst grid.NodeID) {
 	msg.Src, msg.Dst, msg.Cur = src, dst, src
 	msg.Incoming = grid.InvalidDir
 	msg.path = msg.path[:0]
 	msg.visits = msg.visits[:0]
+	msg.seen = 0
 	msg.Hops, msg.Backtracks, msg.Steps, msg.Waits = 0, 0, 0, 0
 	msg.stalled = false
 	msg.Arrived, msg.Unreachable, msg.Lost, msg.TimedOut = false, false, false, false
@@ -248,9 +289,13 @@ func (msg *Message) Used(id grid.NodeID) grid.DirSet {
 }
 
 // visitAt returns the index of id's entry in the used-direction list, or -1.
-// The search runs from the newest entry: after a backtrack the node is one
-// of the last forwarded from.
+// A clear filter bit answers -1 at once; otherwise the search runs from the
+// newest entry: after a backtrack the node is one of the last forwarded
+// from.
 func (msg *Message) visitAt(id grid.NodeID) int {
+	if msg.seen&seenBit(id) == 0 {
+		return -1
+	}
 	for i := len(msg.visits) - 1; i >= 0; i-- {
 		if msg.visits[i].id == id {
 			return i
@@ -258,6 +303,12 @@ func (msg *Message) visitAt(id grid.NodeID) int {
 	}
 	return -1
 }
+
+// seenBit is id's bit in the visits filter. The id is hashed first:
+// neighbouring nodes along the higher axes differ by multiples of a
+// power of two, so the id's low bits alone would put a straight run of a
+// path on one or two bits.
+func seenBit(id grid.NodeID) uint64 { return 1 << (uint32(id) * 0x9E3779B1 >> 26) }
 
 // PathLen returns the current path-stack length (hops from source along the
 // currently held path).
@@ -424,6 +475,7 @@ func (msg *Message) applyMove(ctx *Context, dir grid.Dir) {
 		msg.visits[i].dirs = msg.visits[i].dirs.Add(dir)
 	} else {
 		msg.visits = append(msg.visits, visit{id: msg.Cur, dirs: grid.DirSet(0).Add(dir)})
+		msg.seen |= seenBit(msg.Cur)
 	}
 	msg.path = append(msg.path, msg.Cur)
 	msg.Cur = next
@@ -482,10 +534,10 @@ func (Limited) Name() string { return "limited" }
 //
 //meshvet:noalloc
 func (Limited) Decide(ctx *Context, msg *Message) Decision {
-	if classifyLimited(ctx, msg) {
+	cl := classifyLimited(ctx, msg)
+	if cl == nil {
 		return backtrackOrFail(msg)
 	}
-	cl := &ctx.cl
 	if len(cl.preferred) > 0 {
 		return Decision{Move: true, Dir: pickPreferred(ctx, cl.preferred, cl.uc, cl.dc)}
 	}
@@ -501,8 +553,8 @@ func (Limited) Decide(ctx *Context, msg *Message) Decision {
 // classified is the candidate partition of Algorithm 3's step 2: the
 // fault-safe unused outgoing directions split by priority class, plus the
 // coordinate scratch and records the pick functions need. It lives in the
-// context (Context.cl), whose direction lists keep their capacity across
-// decisions; its contents are valid until the next classify call.
+// Scratch, whose direction lists keep their capacity across decisions; its
+// contents are valid until the next classify call.
 type classified struct {
 	preferred, demoted, spares []grid.Dir
 	uc, dc                     grid.Coord
@@ -512,19 +564,20 @@ type classified struct {
 // classifyLimited runs the candidate classification shared by Limited and
 // Congested: both routers consider exactly the same fault-safe direction
 // classes; they differ only in how ties inside a class are broken. It fills
-// ctx.cl in place and reports bad when the current node itself is
-// disabled/faulty (the backtrack case), leaving ctx.cl stale.
+// the scratch's partition in place and returns it, or nil when the current
+// node itself is disabled/faulty (the backtrack case).
 //
 //meshvet:noalloc
-func classifyLimited(ctx *Context, msg *Message) (bad bool) {
+func classifyLimited(ctx *Context, msg *Message) *classified {
 	m := ctx.M
 	u := msg.Cur
 	if m.Status(u).Bad() {
-		return true
+		return nil
 	}
 	shape := m.Shape()
-	cl := &ctx.cl
 	uc, dc := ctx.coords(u, msg.Dst)
+	s := ctx.scratch()
+	cl := &s.cl
 	used := msg.Used(u)
 	recs := recordsAt(ctx, u)
 
@@ -546,7 +599,7 @@ func classifyLimited(ctx *Context, msg *Message) (bad bool) {
 			// are records for demotedByRecords to consult at all.
 			demote := false
 			if len(recs) > 0 {
-				wc := ctx.wcBuf
+				wc := s.wcBuf
 				copy(wc, uc)
 				wc[dir.Axis()] += dir.Sign()
 				demote = demotedByRecords(recs, wc, dc)
@@ -565,7 +618,7 @@ func classifyLimited(ctx *Context, msg *Message) (bad bool) {
 	}
 	cl.preferred, cl.demoted, cl.spares = preferred, demoted, spares
 	cl.uc, cl.dc, cl.recs = uc, dc, recs
-	return false
+	return cl
 }
 
 func backtrackOrFail(msg *Message) Decision {
@@ -696,8 +749,9 @@ func (Blind) Decide(ctx *Context, msg *Message) Decision {
 	}
 	shape := m.Shape()
 	uc, dc := ctx.coords(u, msg.Dst)
+	cl := &ctx.scratch().cl
 	used := msg.Used(u)
-	preferred, spares := ctx.cl.preferred[:0], ctx.cl.spares[:0]
+	preferred, spares := cl.preferred[:0], cl.spares[:0]
 	for dv := 0; dv < shape.NumDirs(); dv++ {
 		dir := grid.Dir(dv)
 		if used.Has(dir) {
@@ -716,7 +770,7 @@ func (Blind) Decide(ctx *Context, msg *Message) Decision {
 		}
 		spares = append(spares, dir)
 	}
-	ctx.cl.preferred, ctx.cl.spares = preferred, spares
+	cl.preferred, cl.spares = preferred, spares
 	if len(preferred) > 0 {
 		return Decision{Move: true, Dir: pickPreferred(ctx, preferred, uc, dc)}
 	}
